@@ -67,13 +67,21 @@ def _write_text(path: str | None, text: str) -> None:
             f.write(text)
 
 
+def _json(doc, **kwargs) -> str:
+    """RFC 8259 JSON: a NaN or infinity in the result is a solver error, not a token."""
+    try:
+        return json.dumps(doc, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise SolverError(f"result holds a non-finite number: {exc}") from exc
+
+
 def _emit(doc: dict, args, csv_rows: list[dict], csv_fields: list[str]) -> None:
     if args.format == "json":
-        _write_text(args.output, json.dumps(doc, indent=2) + "\n")
+        _write_text(args.output, _json(doc, indent=2) + "\n")
         return
     buf = io.StringIO()
     buf.write(f"# version={doc['version']}\n")
-    buf.write(f"# config={json.dumps(doc['config'])}\n")
+    buf.write(f"# config={_json(doc['config'])}\n")
     writer = csv.DictWriter(buf, fieldnames=csv_fields, extrasaction="ignore")
     writer.writeheader()
     for row in csv_rows:
@@ -92,9 +100,8 @@ def _base_doc(command: str, config: dict) -> dict:
 def cmd_recover(args) -> int:
     missing = parse_missing_spec(args.missing)
     series, absent = read_series_csv(args.input)
-    for t in absent:
-        if t not in set(missing):
-            missing.append(t)
+    listed = set(missing)
+    missing.extend(t for t in absent if t not in listed)
     mask = make_mask(series.window, missing)
     omega = _omega_from_fraction(args.omega, args.omega2)
     problem = RecoveryProblem(

@@ -6,6 +6,10 @@ is the impulse response of the ideal low-pass filter with cutoff omega in
 square-summable sequence onto the band-limited subspace.  The 2D variant
 is the separable product kernel for an axis-aligned rectangular band,
 which is this toolkit's extension of the 1D theory to grids.
+
+Every kernel-weighted sum over a window goes through one primitive,
+:func:`lowpass_filter`: a zero-padded FFT convolution along one axis, in
+O(n log n) time and O(n) memory for an axis of length n.
 """
 
 from __future__ import annotations
@@ -78,3 +82,28 @@ def kernel_profile(omega: float, lags: np.ndarray) -> np.ndarray:
     """Vectorized h over an array of integer lags (np.sinc is sin(pi x)/(pi x))."""
     lags = np.asarray(lags, dtype=np.float64)
     return (omega / np.pi) * np.sinc(omega * lags / np.pi)
+
+
+def lowpass_filter(omega: float, values: np.ndarray, offsets, axis: int = 0) -> np.ndarray:
+    """Convolve `values` with h along `axis` and read the result off at `offsets`.
+
+    out[k] = sum_j h(offsets[k] - j) * values[j] over j = 0..n-1 along the
+    axis, so every lag in -(n-1)..(n-1) is used exactly as the dense sum
+    would.  The even kernel is laid out circularly in a zero-padded buffer
+    of length L >= 2n - 1, so the circular convolution computed by
+    rfft/irfft has no wrap-around: O(n log n) time and O(n) memory per
+    axis line, against O(|offsets| * n) for the dense lag matrix.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n = values.shape[axis]
+    size = 1 << (2 * n - 2).bit_length()
+    taps = np.zeros(size)
+    h = kernel_profile(omega, np.arange(n))
+    taps[:n] = h
+    taps[size - n + 1:] = h[:0:-1]
+    shape = [1] * values.ndim
+    shape[axis] = size // 2 + 1
+    with np.errstate(over="ignore", invalid="ignore"):  # callers check for non-finite sums
+        spectrum = np.fft.rfft(values, n=size, axis=axis) * np.fft.rfft(taps).reshape(shape)
+        full = np.fft.irfft(spectrum, n=size, axis=axis)
+    return np.take(full, offsets, axis=axis)

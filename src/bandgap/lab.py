@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ExperimentError, GeometryError, OracleConditioningError, ParameterError
-from .kernel import BandLimit, kernel_profile
+from .kernel import BandLimit, kernel_profile, lowpass_filter
 from .masks import IndexWindow, ObservationMask, make_mask, parse_missing_spec
 from .recovery import RecoveryProblem, RecoverySolution, default_rho, recover
 from .series import Series
@@ -104,10 +104,8 @@ def gen_bandlimited(spec: SignalSpec) -> Series:
         return Series(window=window, values=sinc_mixture_values(spec.band, spec.centers, spec.amplitudes, ts))
     rng = np.random.default_rng(spec.seed)
     (w,) = spec.band.axes
-    src = np.arange(window.lo - spec.pad, window.hi + spec.pad + 1)
-    noise = rng.standard_normal(len(src))
-    lags = ts[:, None] - src[None, :]
-    return Series(window=window, values=kernel_profile(w, lags) @ noise)
+    noise = rng.standard_normal(len(ts) + 2 * spec.pad)
+    return Series(window=window, values=lowpass_filter(w, noise, spec.pad + np.arange(len(ts))))
 
 
 @dataclass(frozen=True, eq=False)

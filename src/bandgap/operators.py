@@ -6,6 +6,12 @@ product of per-axis kernels in 2D), and the right-hand side a(x) collects
 the kernel-weighted sums of the observed samples.  A is positive
 semidefinite with spectral norm < 1 for finite M, which is what makes the
 recovery equation uniquely solvable.
+
+A is read per axis from a lag table h[|t_i - t_j|], one kernel evaluation
+per distinct lag.  a(x) is the masked series low-pass filtered by
+:func:`kernel.lowpass_filter` (axis by axis in 2D) and read off on M: for
+a window of N samples that is O(N log N) time and O(N) memory, whatever
+the size of M.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, ParameterError, SolverError
-from .kernel import BandLimit, kernel_profile
+from .kernel import BandLimit, kernel_profile, lowpass_filter
 from .masks import Index, ObservationMask, apply_mask
 from .series import Series
 
@@ -59,8 +65,10 @@ def _coord_array(indices) -> np.ndarray:
 def assemble_operator(mask: ObservationMask, omega: BandLimit) -> GapOperator:
     """Build the symmetric gap matrix for a mask (no right-hand side yet).
 
-    Entries are evaluated on absolute index differences, so the matrix is
-    exactly symmetric; for a contiguous 1D missing set it is Toeplitz.
+    Entries are looked up per axis in a table of h over the lags
+    0..max|t_i - t_j|, so the matrix is exactly symmetric and equal entry
+    for entry to evaluating h on every pair; for a contiguous 1D missing
+    set it is Toeplitz.
     """
     _check_dims(mask, omega)
     if mask.n_missing == 0:
@@ -69,7 +77,7 @@ def assemble_operator(mask: ObservationMask, omega: BandLimit) -> GapOperator:
     matrix = np.ones((len(coords), len(coords)))
     for axis, w in enumerate(omega.axes):
         lags = np.abs(coords[:, axis, None] - coords[None, :, axis])
-        matrix = matrix * kernel_profile(w, lags)
+        matrix = matrix * kernel_profile(w, np.arange(lags.max() + 1))[lags]
     return GapOperator(matrix=matrix, order=tuple(mask.missing), omega=omega)
 
 
@@ -79,28 +87,21 @@ def assemble_rhs(series: Series, mask: ObservationMask, omega: BandLimit) -> np.
     The sum runs over in-window observed indices only; out-of-window samples
     are zero by truncation, and in-window missing entries are zeroed by the
     mask map before summation, so whatever the series holds there is ignored.
+    The masked window is low-pass filtered along each axis in turn and read
+    off at the missing set's rows (then columns): O(N log N) for N window
+    samples.
     """
     _check_dims(mask, omega)
     if series.window != mask.window:
         raise GeometryError("series and mask are defined on different windows")
-    masked = apply_mask(series, mask).values
-    window = mask.window
-    coords = _coord_array(mask.missing)
-    if window.ndim == 1:
-        ts = np.arange(window.lo, window.hi + 1)
-        (w,) = omega.axes
-        lags = coords[:, 0, None] - ts[None, :]
-        return kernel_profile(w, lags) @ masked
-    (l1, l2), (h1, h2) = window.lo, window.hi
-    rows = np.arange(l1, h1 + 1)
-    cols = np.arange(l2, h2 + 1)
-    w1, w2 = omega.axes
-    out = np.empty(len(coords))
-    for i, (t1, t2) in enumerate(coords):
-        u = kernel_profile(w1, t1 - rows)
-        v = kernel_profile(w2, t2 - cols)
-        out[i] = u @ masked @ v
-    return out
+    filtered = apply_mask(series, mask).values
+    offsets = _coord_array(mask.missing) - np.asarray(mask.window.lo)
+    picks = []
+    for axis, w in enumerate(omega.axes):
+        kept, pick = np.unique(offsets[:, axis], return_inverse=True)
+        filtered = lowpass_filter(w, filtered, kept, axis=axis)
+        picks.append(pick)
+    return filtered[tuple(picks)]
 
 
 def with_rhs(op: GapOperator, rhs: np.ndarray) -> GapOperator:

@@ -9,12 +9,18 @@ masked series and reading it back reproduces both values and gaps.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GeometryError, ParameterError
 from .masks import Index, IndexWindow, ObservationMask
+
+# Largest window (in samples) a series file may span: 16x a 512 x 512 grid
+# and over 40x a 10^5-sample series.  The bounding box of the file's
+# indices is checked against it before the window is allocated.
+MAX_WINDOW_SIZE = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,38 +87,59 @@ def read_series_csv(path) -> tuple[Series, list[Index]]:
 
     The window is the bounding box of the indices present in the file; any
     in-window index with no row is reported as absent (a gap) and its value
-    is zero in the returned series.
+    is zero in the returned series.  Rows are parsed one by one for their
+    error messages; the window, duplicates and absent indices are worked
+    out on arrays.  A window above MAX_WINDOW_SIZE entries is rejected
+    before anything of its size is allocated.
     """
-    entries: dict[Index, float] = {}
     with open(path, "r", newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         rows = [r for r in reader if r and not r[0].lstrip().startswith("#")]
     if not rows:
         raise ParameterError(f"series file {path} is empty")
     ndim = _parse_header(rows[0])
+    idx: list[int] = []
+    vals: list[float] = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != ndim + 1:
             raise ParameterError(f"{path}:{lineno}: expected {ndim + 1} fields, got {len(row)}")
         try:
-            idx_parts = tuple(int(v) for v in row[:ndim])
-            value = float(row[ndim])
+            idx.extend(map(int, row[:ndim]))
+            vals.append(float(row[ndim]))
         except ValueError as exc:
             raise ParameterError(f"{path}:{lineno}: {exc}") from exc
-        t: Index = idx_parts[0] if ndim == 1 else idx_parts
-        if t in entries:
-            raise ParameterError(f"{path}:{lineno}: duplicate index {t!r}")
-        entries[t] = value
-    keys = list(entries.keys())
-    if ndim == 1:
-        window = IndexWindow(min(keys), max(keys))
-    else:
-        window = IndexWindow(
-            (min(k[0] for k in keys), min(k[1] for k in keys)),
-            (max(k[0] for k in keys), max(k[1] for k in keys)),
+    if not vals:
+        raise ParameterError(f"series file {path} has no data rows")
+    values = np.array(vals)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ParameterError(f"{path}:{bad[0] + 2}: non-finite sample {rows[bad[0] + 1][ndim]!r}")
+    try:
+        coords = np.array(idx, dtype=np.int64).reshape(-1, ndim)
+    except OverflowError as exc:
+        raise GeometryError(f"{path}: index does not fit in 64 bits") from exc
+    lo, hi = coords.min(axis=0), coords.max(axis=0)
+    shape = tuple(int(b) - int(a) + 1 for a, b in zip(lo, hi))
+    if math.prod(shape) > MAX_WINDOW_SIZE:
+        raise GeometryError(
+            f"{path}: index bounding box {shape} exceeds {MAX_WINDOW_SIZE} samples"
         )
-    series = Series.from_mapping(window, entries)
-    absent = [t for t in window.indices() if t not in entries]
-    return series, absent
+    flat = np.ravel_multi_index(tuple((coords - lo).T), shape)
+    order = np.argsort(flat, kind="stable")
+    repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
+    if repeats.size:
+        row = int(repeats.min())
+        t = int(coords[row, 0]) if ndim == 1 else tuple(int(v) for v in coords[row])
+        raise ParameterError(f"{path}:{row + 2}: duplicate index {t!r}")
+    window = IndexWindow(lo, hi)
+    filled = np.zeros(math.prod(shape))
+    filled[flat] = values
+    present = np.zeros(filled.size, dtype=bool)
+    present[flat] = True
+    gaps = np.unravel_index(np.flatnonzero(~present), shape)
+    cols = [(g + a).tolist() for g, a in zip(gaps, lo)]
+    absent = cols[0] if ndim == 1 else list(zip(*cols))
+    return Series(window=window, values=filled.reshape(shape)), absent
 
 
 def write_series_csv(series: Series, path, mask: ObservationMask | None = None) -> None:

@@ -81,7 +81,12 @@ def _margin_and_warnings(op: GapOperator, rho: float, threshold: float) -> tuple
 
 
 def _residual(op: GapOperator, rho: float, y: np.ndarray) -> float:
-    return float(np.linalg.norm((1.0 + rho) * y - op.matrix @ y - op.rhs))
+    """Norm of the equation residual; a non-finite one certifies nothing and is an error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.linalg.norm((1.0 + rho) * y - op.matrix @ y - op.rhs))
+    if not np.isfinite(residual):
+        raise SolverError(f"residual is not finite ({residual}); the solution cannot be certified")
+    return residual
 
 
 def solve_direct(op: GapOperator, rho: float, config: SolverConfig | None = None) -> SolveReport:

@@ -1,13 +1,14 @@
 """Command-line surface: exit codes, output schemas, and path equivalences."""
 
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
-from bandgap import BandLimit, IndexWindow, Series, recover_single_value
-from bandgap.cli import main
+from bandgap import BandLimit, IndexWindow, Series, SolverError, recover_single_value
+from bandgap.cli import _emit, main
 from bandgap.series import write_series_csv
 
 
@@ -80,6 +81,45 @@ class TestRecoverCommand:
     def test_missing_file_is_parse_error(self, tmp_path):
         assert run(["recover", "--input", str(tmp_path / "nope.csv"),
                     "--missing", "0", "--omega", "0.25"]) == 2
+
+    def test_nonfinite_sample_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("t,value\n-3,1\n-2,2\n-1,nan\n2,1\n3,1\n4,1\n")
+        assert run(["recover", "--input", str(bad), "--missing", "0..1", "--omega", "0.25"]) == 2
+        assert "nan.csv:4" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+    def test_far_apart_rows_are_geometry_error(self, tmp_path):
+        far = tmp_path / "far.csv"
+        far.write_text("t,value\n0,1.0\n1000000000,2.0\n")
+        assert run(["recover", "--input", str(far), "--missing", "1", "--omega", "0.25"]) == 3
+
+    def test_huge_samples_fail_without_infinity(self, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        big.write_text("t,value\n-3,1e308\n-2,-1e308\n-1,1e308\n2,-1e308\n3,1e308\n4,-1e308\n")
+        out = tmp_path / "out.json"
+        code = run(["recover", "--input", str(big), "--missing", "0..1", "--omega", "0.25",
+                    "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code != 0
+        assert "Infinity" not in captured.out + captured.err
+        assert not out.exists() or "Infinity" not in out.read_text()
+
+    def test_nonfinite_output_is_solver_error(self):
+        args = argparse.Namespace(format="json", output=None)
+        with pytest.raises(SolverError, match="non-finite"):
+            _emit({"version": "0", "config": {}, "residual": math.inf}, args, [], [])
+
+    def test_absent_rows_merge_with_listed_missing(self, tmp_path):
+        w = IndexWindow(0, 40)
+        s = Series(window=w, values=np.random.default_rng(6).standard_normal(41))
+        path = tmp_path / "gappy.csv"
+        absent = {5, 6, 7, 20}
+        path.write_text("t,value\n" + "".join(
+            f"{t},{s.value_at(t)!r}\n" for t in w.indices() if t not in absent))
+        out = tmp_path / "out.json"
+        assert run(["recover", "--input", str(path), "--missing", "6..9", "--omega", "0.25",
+                    "--output", str(out)]) == 0
+        assert [row["t"] for row in json.loads(out.read_text())["values"]] == [5, 6, 7, 8, 9, 20]
 
     def test_bad_omega_is_parameter_error(self, series_121):
         _, path = series_121

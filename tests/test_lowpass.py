@@ -1,0 +1,179 @@
+"""The FFT low-pass primitive against dense kernel sums kept only here.
+
+`assemble_rhs`, `assemble_operator` and the lowpassed-noise generator all
+reduce to kernel-weighted sums over a window.  The references below write
+those sums out as dense lag matrices, the O(|M| N) form the package no
+longer uses, and the properties compare the two on random windows,
+cutoffs and masks: length-1 windows, gaps on the window edges, and fully
+missing rows and columns included.
+"""
+
+import math
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bandgap
+from bandgap import (
+    BandLimit,
+    IndexWindow,
+    Series,
+    SignalSpec,
+    assemble_operator,
+    assemble_rhs,
+    gen_bandlimited,
+    make_mask,
+)
+from bandgap.kernel import kernel_profile, lowpass_filter
+
+FRACTIONS = st.floats(min_value=0.01, max_value=0.99)
+
+
+def h(omega: float, lags) -> np.ndarray:
+    """omega*sinc(omega*t)/pi written out with sin, independent of kernel_profile."""
+    lags = np.asarray(lags, dtype=np.float64)
+    safe = np.where(lags == 0, 1.0, lags)
+    return np.where(lags == 0, omega / math.pi, np.sin(omega * safe) / (math.pi * safe))
+
+
+def dense_rhs(series: Series, mask, omegas) -> np.ndarray:
+    """sum over observed window indices s of prod_axis h(t_axis - s_axis) * x(s), per t in M."""
+    values = np.array(series.values, dtype=np.float64)
+    lo = mask.window.lo if isinstance(mask.window.lo, tuple) else (mask.window.lo,)
+    grids = [np.arange(a, a + n) for a, n in zip(lo, values.shape)]
+    for t in mask.missing:
+        values[tuple(np.subtract(t, lo))] = 0.0
+    out = []
+    for t in mask.missing:
+        t_axes = t if isinstance(t, tuple) else (t,)
+        weights = h(omegas[0], t_axes[0] - grids[0])
+        if len(grids) == 2:
+            weights = np.outer(weights, h(omegas[1], t_axes[1] - grids[1]))
+        out.append(float(np.sum(weights * values)))
+    return np.array(out)
+
+
+def dense_operator(mask, omegas) -> np.ndarray:
+    """The gap matrix as the seed assembled it: kernel_profile on every pair's lag."""
+    coords = np.array([t if isinstance(t, tuple) else (t,) for t in mask.missing])
+    matrix = np.ones((len(coords), len(coords)))
+    for axis, w in enumerate(omegas):
+        matrix = matrix * kernel_profile(w, np.abs(coords[:, axis, None] - coords[None, :, axis]))
+    return matrix
+
+
+def tolerance(values: np.ndarray) -> float:
+    return 1e-14 * max(1.0, float(np.sum(np.abs(values))))
+
+
+@st.composite
+def problems_1d(draw):
+    lo = draw(st.integers(-40, 40))
+    n = draw(st.integers(1, 150))
+    offsets = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 30)))
+    if draw(st.booleans()):
+        offsets |= {0, n - 1}
+    window = IndexWindow(lo, lo + n - 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    series = Series(window=window, values=rng.standard_normal(n) * draw(st.sampled_from([1e-3, 1.0, 1e3])))
+    mask = make_mask(window, [lo + k for k in offsets])
+    return series, mask, (draw(FRACTIONS) * math.pi,)
+
+
+@st.composite
+def problems_2d(draw):
+    lo = (draw(st.integers(-10, 10)), draw(st.integers(-10, 10)))
+    shape = (draw(st.integers(1, 20)), draw(st.integers(1, 20)))
+    cells = {(r, c) for r in range(shape[0]) for c in range(shape[1])}
+    missing = draw(st.sets(st.sampled_from(sorted(cells)), min_size=1, max_size=12))
+    for r in draw(st.sets(st.integers(0, shape[0] - 1), max_size=2)):
+        missing |= {(r, c) for c in range(shape[1])}
+    for c in draw(st.sets(st.integers(0, shape[1] - 1), max_size=2)):
+        missing |= {(r, c) for r in range(shape[0])}
+    window = IndexWindow(lo, (lo[0] + shape[0] - 1, lo[1] + shape[1] - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    series = Series(window=window, values=rng.standard_normal(shape))
+    mask = make_mask(window, [(lo[0] + r, lo[1] + c) for r, c in missing])
+    return series, mask, (draw(FRACTIONS) * math.pi, draw(FRACTIONS) * math.pi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(problems_1d())
+def test_rhs_1d_equals_dense_sum(problem):
+    series, mask, omegas = problem
+    got = assemble_rhs(series, mask, BandLimit(omegas[0]))
+    assert np.max(np.abs(got - dense_rhs(series, mask, omegas))) <= tolerance(series.values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(problems_2d())
+def test_rhs_2d_equals_dense_sum(problem):
+    series, mask, omegas = problem
+    got = assemble_rhs(series, mask, BandLimit(omegas))
+    assert np.max(np.abs(got - dense_rhs(series, mask, omegas))) <= tolerance(series.values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(problems_1d(), problems_2d()))
+def test_lag_table_operator_is_bit_identical(problem):
+    _, mask, omegas = problem
+    band = BandLimit(omegas if len(omegas) == 2 else omegas[0])
+    assert np.array_equal(assemble_operator(mask, band).matrix, dense_operator(mask, omegas))
+
+
+def test_filter_along_second_axis_matches_first():
+    rng = np.random.default_rng(4)
+    grid = rng.standard_normal((7, 33))
+    offsets = [0, 5, 32]
+    along_cols = lowpass_filter(0.6, grid, offsets, axis=1)
+    along_rows = lowpass_filter(0.6, grid.T, offsets, axis=0).T
+    assert np.max(np.abs(along_cols - along_rows)) <= 1e-15
+    assert lowpass_filter(0.6, np.array([2.0]), [0]).tolist() == [2.0 * 0.6 / math.pi]
+
+
+def test_rhs_at_window_1e5_gaps_2e3_stays_small():
+    """N = 100,001, |M| = 2,000: the dense lag matrix alone would be 1.6 GB."""
+    n = 100_001
+    window = IndexWindow(0, n - 1)
+    rng = np.random.default_rng(5)
+    series = Series(window=window, values=rng.standard_normal(n))
+    mask = make_mask(window, rng.choice(n, size=2_000, replace=False))
+    omega = 0.25 * math.pi
+    tracemalloc.start()
+    try:
+        rhs = assemble_rhs(series, mask, BandLimit(omega))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    masked = series.values.copy()
+    masked[list(mask.missing)] = 0.0
+    ts = np.arange(n)
+    for k in (0, 999, 1999):
+        expected = float(h(omega, mask.missing[k] - ts) @ masked)
+        assert abs(rhs[k] - expected) <= tolerance(series.values)
+
+
+def test_lowpassed_noise_equals_dense_filter():
+    window = IndexWindow(-30, 40)
+    spec = SignalSpec(kind="lowpassed_noise", band=BandLimit(0.7), window=window, seed=8, pad=25)
+    noise = np.random.default_rng(8).standard_normal(71 + 2 * 25)
+    src = np.arange(-30 - 25, 40 + 25 + 1)
+    expected = h(0.7, np.arange(-30, 41)[:, None] - src[None, :]) @ noise
+    assert np.max(np.abs(gen_bandlimited(spec).values - expected)) <= tolerance(noise)
+
+
+def test_import_leaves_scipy_signal_and_fft_unloaded():
+    """`scipy.signal` costs ~0.9 s and `scipy.fft` ~0.1 s of import time; numpy.fft is enough."""
+    src = str(Path(bandgap.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import bandgap, bandgap.cli; "
+        "print(' '.join(m for m in sys.modules if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'fft'])))"
+    )
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []

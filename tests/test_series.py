@@ -92,3 +92,43 @@ def test_csv_bad_value_rejected(tmp_path):
     path.write_text("t,value\n0,abc\n")
     with pytest.raises(ParameterError):
         read_series_csv(path)
+
+
+@pytest.mark.parametrize("sample", ["nan", "inf", "-inf"])
+def test_csv_nonfinite_sample_names_its_line(tmp_path, sample):
+    path = tmp_path / "nan.csv"
+    path.write_text(f"t,value\n0,1.0\n1,{sample}\n")
+    with pytest.raises(ParameterError, match=r"nan\.csv:3: non-finite sample"):
+        read_series_csv(path)
+
+
+def test_csv_duplicate_names_the_repeating_line(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("t1,t2,value\n0,0,1.0\n0,1,1.0\n1,1,1.0\n0,1,2.0\n1,1,3.0\n")
+    with pytest.raises(ParameterError, match=r"dup\.csv:5: duplicate index \(0, 1\)"):
+        read_series_csv(path)
+
+
+@pytest.mark.parametrize("far, message", [("1000000000", "exceeds"), (str(10**20), "64 bits")])
+def test_csv_window_cap_rejects_far_apart_rows(tmp_path, far, message):
+    # rows at 0 and 10^9 span a 10^9-sample window; it is refused before allocation
+    path = tmp_path / "far.csv"
+    path.write_text(f"t,value\n0,1.0\n{far},2.0\n")
+    with pytest.raises(GeometryError, match=message):
+        read_series_csv(path)
+
+
+def test_csv_header_only_rejected(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("t,value\n")
+    with pytest.raises(ParameterError, match="no data rows"):
+        read_series_csv(path)
+
+
+def test_csv_absent_rows_2d_in_row_major_order(tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_text("t1,t2,value\n-1,2,1.0\n0,4,2.0\n1,3,3.0\n")
+    back, absent = read_series_csv(path)
+    assert back.window == IndexWindow((-1, 2), (1, 4))
+    assert absent == [(-1, 3), (-1, 4), (0, 2), (0, 3), (1, 2), (1, 4)]
+    assert back.value_at((0, 4)) == 2.0 and back.value_at((1, 2)) == 0.0

@@ -112,6 +112,12 @@ class TestDirect:
         with pytest.raises(SolverError):
             solve_direct(op, rho=0.0)
 
+    def test_nonfinite_residual_rejected(self):
+        # finite system and solution, but the residual's norm overflows: no certificate
+        op = operator_with_rhs([0, 1, 2], 0.25, [1e200, -1e200, 1e200])
+        with pytest.raises(SolverError, match="residual is not finite"):
+            solve_direct(op, rho=0.0)
+
     def test_missing_rhs_rejected(self):
         mask = make_mask(IndexWindow(-5, 5), [0])
         op = assemble_operator(mask, BandLimit.from_pi_fraction(0.25))
