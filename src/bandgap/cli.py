@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from importlib import resources
 
@@ -380,10 +381,29 @@ def _error(category: str, exc: Exception) -> None:
     sys.stderr.write(json.dumps({"error": {"category": category, "message": str(exc)}}) + "\n")
 
 
+# Options whose value is an index spec; a spec may start with "-" ("-5..10").
+_SPEC_OPTIONS = ("--missing", "--window", "--gap-sizes")
+
+
+def _attach_spec_values(argv: list[str]) -> list[str]:
+    """Rewrite `--missing -5..10` as `--missing=-5..10`.
+
+    argparse reads a separate value that starts with "-" as an option unless
+    it is a plain negative number, and then reports a missing argument.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in _SPEC_OPTIONS and re.match(r"-\d", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_spec_values(sys.argv[1:] if argv is None else list(argv)))
         return args.func(args)
     except ParameterError as exc:
         _error("parameter", exc)

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import GeometryError, ParameterError
 from .kernel import BandLimit
 from .masks import IndexWindow, make_mask
-from .recovery import RecoveryProblem, RecoverySolution, recover
+from .recovery import RecoveryProblem, RecoverySolution, recover_all
 from .series import Series
 from .solvers import SolverConfig
 
@@ -94,29 +94,43 @@ def _validate_spec(spec: ForecastSpec) -> tuple[int, int]:
 
 def forecast(spec: ForecastSpec) -> ForecastResult:
     """Run the dummy-interpolation forecast; accepts the first `horizon` values."""
+    return _forecasts(spec, [spec.dummy])[0]
+
+
+def _forecasts(spec: ForecastSpec, dummies: list[Series | None]) -> list[ForecastResult]:
+    """The forecast of `spec` with each dummy in turn (None is the zero dummy).
+
+    The dummies share the window of `spec.dummy`, so every forecast recovers
+    the same gap on the same window: one operator, one spectrum and one
+    factorization serve them all.
+    """
     q, n = _validate_spec(spec)
     window = IndexWindow(-q, n)
-    values = np.zeros(window.size)
-    values[: q + 1] = spec.past.values
-    if spec.dummy is not None:
-        values[q + 1 + spec.gap :] = spec.dummy.values
     mask = make_mask(window, range(1, spec.gap + 1))
-    problem = RecoveryProblem(
-        series=Series(window=window, values=values),
-        mask=mask,
-        omega=spec.omega,
-        rho=spec.rho,
-        solver=spec.solver,
-    )
-    solution = recover(problem)
-    full_gap = solution.vector()
-    return ForecastResult(
-        values=full_gap[: spec.horizon],
-        full_gap=full_gap,
-        solution=solution,
-        horizon=spec.horizon,
-        gap=spec.gap,
-    )
+    problems = []
+    for dummy in dummies:
+        values = np.zeros(window.size)
+        values[: q + 1] = spec.past.values
+        if dummy is not None:
+            values[q + 1 + spec.gap :] = dummy.values
+        problems.append(RecoveryProblem(
+            series=Series(window=window, values=values),
+            mask=mask,
+            omega=spec.omega,
+            rho=spec.rho,
+            solver=spec.solver,
+        ))
+    results = []
+    for solution in recover_all(problems):
+        full_gap = solution.vector()
+        results.append(ForecastResult(
+            values=full_gap[: spec.horizon],
+            full_gap=full_gap,
+            solution=solution,
+            horizon=spec.horizon,
+            gap=spec.gap,
+        ))
+    return results
 
 
 @dataclass(frozen=True)
@@ -143,7 +157,8 @@ def dummy_sensitivity(
     Each dummy is given on the full future window {1..n} and is restricted
     to {m+1..n} for each gap length m, so a dummy keeps its values at fixed
     times while the gap grows.  For each gap the report records the maximum
-    pairwise distance between the accepted forecasts across dummies; the
+    pairwise distance between the accepted forecasts across dummies.  The
+    dummies of one gap length share one operator and one factorization.  The
     theory predicts the sequence fades as the gap grows, so a single
     increasing step is flagged, not an error.
     """
@@ -165,18 +180,17 @@ def dummy_sensitivity(
     distances = []
     for m in gaps:
         tail = IndexWindow(m + 1, n)
-        forecasts = []
-        for dummy in dummies:
-            spec = ForecastSpec(
-                past=past,
-                horizon=horizon,
-                gap=int(m),
-                omega=omega,
-                dummy=dummy.restricted(tail),
-                rho=rho,
-                solver=solver,
-            )
-            forecasts.append(forecast(spec).values)
+        restricted = [dummy.restricted(tail) for dummy in dummies]
+        spec = ForecastSpec(
+            past=past,
+            horizon=horizon,
+            gap=int(m),
+            omega=omega,
+            dummy=restricted[0],
+            rho=rho,
+            solver=solver,
+        )
+        forecasts = [result.values for result in _forecasts(spec, restricted)]
         worst = 0.0
         for i in range(len(forecasts)):
             for j in range(i + 1, len(forecasts)):

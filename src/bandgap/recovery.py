@@ -5,6 +5,8 @@ gap operator and right-hand side, solves (1+rho)*y = A*y + a, and returns
 the recovered values on the missing set together with spectral and solver
 diagnostics.  Only the missing trace is ever computed; the in-sample
 band-limited approximation on the observed set is never materialized.
+`recover_all` recovers several series that share a mask, a band limit and
+rho against one operator, one spectrum and one factorization.
 
 `recover_single_value` is the closed form for a single gap,
 
@@ -16,13 +18,14 @@ collapsing exactly to the 1D path when the window is a single row or column.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GeometryError, ParameterError
 from .kernel import BandLimit, kernel_profile
-from .masks import IndexWindow, ObservationMask, apply_mask, make_mask, observed_halfline_exists
+from .masks import IndexWindow, ObservationMask, make_mask, observed_halfline_exists
 from .operators import (
     GapOperator,
     OperatorDiagnostics,
@@ -94,53 +97,58 @@ def _solve(op: GapOperator, rho: float, config: SolverConfig) -> SolveReport:
     return solve_direct(op, rho, config)
 
 
-def _recover_pipeline(problem: RecoveryProblem) -> RecoverySolution:
-    mask, series, omega = problem.mask, problem.series, problem.omega
+def _recover_pipeline(problems: list[RecoveryProblem]) -> list[RecoverySolution]:
+    """One operator, spectrum and factorization for the shared geometry; one solve per series."""
+    problem = problems[0]
+    mask, omega = problem.mask, problem.omega
     if mask.n_missing == 0:
         raise GeometryError("missing set is empty; nothing to recover")
-    if series.window != mask.window:
+    if any(p.series.window != mask.window for p in problems):
         raise GeometryError("series and mask are defined on different windows")
     if omega.ndim != mask.window.ndim:
         raise ParameterError("band limit dimensionality does not match the window")
     rho = _resolve_rho(problem)
 
-    warnings = []
-    if not observed_halfline_exists(mask):
-        warnings.append(HALFLINE_WARNING)
-
+    warnings = () if observed_halfline_exists(mask) else (HALFLINE_WARNING,)
     op = assemble_operator(mask, omega)
     diag = diagnostics(op)
-    masked = apply_mask(series, mask)
-
-    if not np.any(masked.values):
-        # All observed samples are zero: the unique solution is exactly zero.
-        report = SolveReport(
-            y=np.zeros(mask.n_missing),
-            residual=0.0,
-            iterations=0,
-            norm_bound=1.0 / (1.0 + rho - diag.spectral_norm),
-            rho=rho,
-            method=problem.solver.method,
-        )
-    else:
-        rhs = assemble_rhs(series, mask, omega)
-        report = _solve(with_rhs(op, rhs), rho, problem.solver)
-    warnings.extend(report.warnings)
-
-    values = {t: float(v) for t, v in zip(op.order, report.y)}
-    return RecoverySolution(
-        values=values,
-        operator_diagnostics=diag,
-        solve_report=report,
-        warnings=tuple(warnings),
-    )
+    solutions = []
+    for p in problems:
+        report = _solve(with_rhs(op, assemble_rhs(p.series, mask, omega)), rho, problem.solver)
+        solutions.append(RecoverySolution(
+            values={t: float(v) for t, v in zip(op.order, report.y)},
+            operator_diagnostics=diag,
+            solve_report=report,
+            warnings=warnings + report.warnings,
+        ))
+    return solutions
 
 
 def recover(problem: RecoveryProblem) -> RecoverySolution:
     """Recover the missing trace; dispatches on window dimensionality."""
-    if problem.mask.window.ndim == 2:
-        return recover_2d(problem)
-    return _recover_pipeline(problem)
+    return recover_all([problem])[0]
+
+
+def recover_all(problems: list[RecoveryProblem]) -> list[RecoverySolution]:
+    """Recover problems that differ only in their series, in order.
+
+    The gap operator, its spectrum and its factorization depend on the
+    mask, the band limit and rho alone, so they are computed once; each
+    problem then costs one right-hand side and one solve.  Each solution is
+    the one `recover` returns for its problem.
+    """
+    if not problems:
+        return []
+    first = problems[0]
+    shared = (first.mask, first.omega, first.rho, first.solver)
+    if any((p.mask, p.omega, p.rho, p.solver) != shared for p in problems[1:]):
+        raise ParameterError("problems recovered together must share mask, omega, rho and solver")
+    window = first.mask.window
+    degenerate = _degenerate_axes(window) if window.ndim == 2 else []
+    if degenerate and window.size > 1:
+        sub = _recover_pipeline([_collapse_to_1d(p, degenerate[0]) for p in problems])
+        return [_expand_to_2d(p, s) for p, s in zip(problems, sub)]
+    return _recover_pipeline(problems)
 
 
 def recover_single_value(series: Series, s: int, omega: BandLimit) -> float:
@@ -160,23 +168,26 @@ def _degenerate_axes(window: IndexWindow) -> list[int]:
     return [axis for axis, extent in enumerate(window.shape) if extent == 1]
 
 
-def _collapse_to_1d(problem: RecoveryProblem, squeeze_axis: int) -> tuple[RecoveryProblem, int]:
+def _collapse_to_1d(problem: RecoveryProblem, squeeze_axis: int) -> RecoveryProblem:
     """Strip a single-sample axis; recovery along a one-row window is a 1D problem."""
     keep_axis = 1 - squeeze_axis
     window = problem.mask.window
-    lo, hi = window.lo[keep_axis], window.hi[keep_axis]
-    sub_window = IndexWindow(lo, hi)
-    missing_1d = [t[keep_axis] for t in problem.mask.missing]
+    sub_window = IndexWindow(window.lo[keep_axis], window.hi[keep_axis])
     values = problem.series.values.reshape(window.shape)
-    sub_values = values[0, :] if squeeze_axis == 0 else values[:, 0]
-    sub_problem = RecoveryProblem(
-        series=Series(window=sub_window, values=sub_values),
-        mask=make_mask(sub_window, missing_1d),
+    return RecoveryProblem(
+        series=Series(window=sub_window, values=values[0, :] if squeeze_axis == 0 else values[:, 0]),
+        mask=make_mask(sub_window, [t[keep_axis] for t in problem.mask.missing]),
         omega=BandLimit(problem.omega.axes[keep_axis]),
         rho=problem.rho,
         solver=problem.solver,
     )
-    return sub_problem, keep_axis
+
+
+def _expand_to_2d(problem: RecoveryProblem, solution: RecoverySolution) -> RecoverySolution:
+    """Key a collapsed problem's solution by the 2D indices (the canonical orders agree)."""
+    return dataclasses.replace(
+        solution, values=dict(zip(problem.mask.missing, solution.values.values()))
+    )
 
 
 def recover_2d(problem: RecoveryProblem) -> RecoverySolution:
@@ -189,21 +200,4 @@ def recover_2d(problem: RecoveryProblem) -> RecoverySolution:
     """
     if problem.mask.window.ndim != 2:
         raise GeometryError("recover_2d requires a 2D window")
-    degenerate = _degenerate_axes(problem.mask.window)
-    if degenerate and problem.mask.window.size > 1:
-        squeeze_axis = degenerate[0]
-        sub_problem, keep_axis = _collapse_to_1d(problem, squeeze_axis)
-        solution = _recover_pipeline(sub_problem)
-        fixed = problem.mask.window.lo[squeeze_axis]
-        remap = {}
-        for t1d, v in solution.values.items():
-            key = (fixed, t1d) if squeeze_axis == 0 else (t1d, fixed)
-            remap[key] = v
-        values = {t: remap[t] for t in problem.mask.missing}
-        return RecoverySolution(
-            values=values,
-            operator_diagnostics=solution.operator_diagnostics,
-            solve_report=solution.solve_report,
-            warnings=solution.warnings,
-        )
-    return _recover_pipeline(problem)
+    return recover(problem)

@@ -89,17 +89,30 @@ def _residual(op: GapOperator, rho: float, y: np.ndarray) -> float:
     return residual
 
 
+def _cholesky(op: GapOperator, rho: float):
+    """Cholesky factor of (1+rho)I - A, computed once per matrix and rho."""
+
+    def factor():
+        system = (1.0 + rho) * np.eye(op.size) - op.matrix
+        try:
+            return linalg.cho_factor(system, overwrite_a=True)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"positive-definite factorization failed: {exc}") from exc
+
+    return op.derived(("cholesky", rho), factor)
+
+
 def solve_direct(op: GapOperator, rho: float, config: SolverConfig | None = None) -> SolveReport:
-    """Solve ((1+rho)I - A) y = a by Cholesky factorization."""
+    """Solve ((1+rho)I - A) y = a by Cholesky factorization.
+
+    The factor is kept on the operator, so further right-hand sides for the
+    same matrix and rho (operators made by `with_rhs`) cost two triangular
+    solves each.
+    """
     config = config or SolverConfig()
     a = _validate(op, rho)
     margin, warnings = _margin_and_warnings(op, rho, config.condition_warn_threshold)
-    system = (1.0 + rho) * np.eye(op.size) - op.matrix
-    try:
-        factor = linalg.cho_factor(system)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"positive-definite factorization failed: {exc}") from exc
-    y = linalg.cho_solve(factor, a)
+    y = linalg.cho_solve(_cholesky(op, rho), a)
     return SolveReport(
         y=y,
         residual=_residual(op, rho, y),

@@ -121,6 +121,15 @@ class TestRecoverCommand:
                     "--output", str(out)]) == 0
         assert [row["t"] for row in json.loads(out.read_text())["values"]] == [5, 6, 7, 8, 9, 20]
 
+    def test_negative_range_as_separate_value(self, series_121, tmp_path):
+        _, path = series_121
+        out = tmp_path / "out.json"
+        assert run(["recover", "--input", path, "--missing", "-5..10", "--omega", "0.25",
+                    "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert [row["t"] for row in doc["values"]] == list(range(-5, 11))
+        assert doc["config"]["missing"] == "-5..10"
+
     def test_bad_omega_is_parameter_error(self, series_121):
         _, path = series_121
         assert run(["recover", "--input", path, "--missing", "0", "--omega", "1.5"]) == 2
@@ -259,6 +268,12 @@ class TestDiagnoseCommand:
         assert len(mins) == 20
         assert mins[0] == pytest.approx(0.75, abs=1e-12)
         assert all(a > b for a, b in zip(mins, mins[1:]))
+
+    def test_negative_missing_and_window(self, tmp_path):
+        out = tmp_path / "d.json"
+        assert run(["diagnose", "--missing", "-2..0", "--window", "-3..3", "--omega", "0.5",
+                    "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["diagnostics"]["size"] == 3
 
     def test_empty_missing_without_sweep(self):
         assert run(["diagnose", "--omega", "0.25"]) == 3

@@ -1,0 +1,256 @@
+"""One spectrum and one Cholesky factor per gap matrix, reused by every caller.
+
+`np.linalg.eigvalsh` and `scipy.linalg.cho_factor` are wrapped in counters
+so each test can state how many decompositions a call makes; every reused
+result is compared bit for bit with one computed afresh.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from bandgap import (
+    BandLimit,
+    ForecastSpec,
+    GapOperator,
+    GeometryError,
+    IndexWindow,
+    ParameterError,
+    RecoveryProblem,
+    Series,
+    SolverError,
+    assemble_operator,
+    assemble_rhs,
+    diagnostics,
+    dummy_sensitivity,
+    eigenvalues,
+    forecast,
+    make_mask,
+    recover,
+    truncate_operator,
+    with_rhs,
+)
+from bandgap.cli import main
+from bandgap.lab import ExperimentConfig, run_experiment
+from bandgap.operators import MAX_MISSING
+from bandgap.recovery import recover_all
+from bandgap.solvers import error_bound, solve_direct, solve_neumann
+
+OMEGA = BandLimit.from_pi_fraction(0.25)
+EIGVALSH = np.linalg.eigvalsh
+CHO_FACTOR = scipy.linalg.cho_factor
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Number of eigvalsh and cho_factor calls made since the test started."""
+    calls = {"eigvalsh": 0, "cho_factor": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", EIGVALSH))
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counting("cho_factor", CHO_FACTOR))
+    return calls
+
+
+def random_problem(seed, window=IndexWindow(-60, 60), missing=range(1, 13), rho=0.0):
+    values = np.random.default_rng(seed).standard_normal(window.shape)
+    return RecoveryProblem(series=Series(window=window, values=values),
+                           mask=make_mask(window, missing), omega=OMEGA, rho=rho)
+
+
+def fresh_solve(problem, omega=OMEGA):
+    """The recovery equation solved from a newly assembled operator (test-side reference)."""
+    op = assemble_operator(problem.mask, omega)
+    return solve_direct(with_rhs(op, assemble_rhs(problem.series, problem.mask, omega)),
+                        problem.rho).y
+
+
+class TestSpectrumCount:
+    def test_one_per_recover_1d(self, counts):
+        problem = random_problem(1)
+        solution = recover(problem)
+        assert counts == {"eigvalsh": 1, "cho_factor": 1}
+        assert np.array_equal(solution.vector(), fresh_solve(problem))
+
+    def test_one_per_recover_2d(self, counts):
+        window = IndexWindow((0, 0), (11, 11))
+        missing = [(r, c) for r in range(4, 7) for c in range(3, 8)]
+        problem = RecoveryProblem(
+            series=Series(window=window, values=np.random.default_rng(2).standard_normal((12, 12))),
+            mask=make_mask(window, missing), omega=BandLimit.from_pi_fraction((0.25, 0.4)), rho=0.0)
+        solution = recover(problem)
+        assert counts["eigvalsh"] == 1
+        assert np.array_equal(solution.vector(), fresh_solve(problem, problem.omega))
+
+    def test_one_per_recover_on_a_single_row(self, counts):
+        window = IndexWindow((3, -20), (3, 20))
+        problem = RecoveryProblem(
+            series=Series(window=window, values=np.random.default_rng(3).standard_normal((1, 41))),
+            mask=make_mask(window, [(3, 0), (3, 1), (3, 5)]),
+            omega=BandLimit.from_pi_fraction((0.5, 0.25)), rho=0.0)
+        recover(problem)
+        assert counts["eigvalsh"] == 1
+
+    def test_with_rhs_copies_share_spectrum_and_factor(self, counts):
+        problem = random_problem(4)
+        op = assemble_operator(problem.mask, OMEGA)
+        norm = diagnostics(op).spectral_norm
+        assert counts["eigvalsh"] == 1
+        rhs = assemble_rhs(problem.series, problem.mask, OMEGA)
+        first = solve_direct(with_rhs(op, rhs), 0.0)
+        second = solve_direct(with_rhs(op, 2.0 * rhs), 0.0)
+        solve_neumann(with_rhs(op, rhs), 0.1)
+        bound = error_bound(with_rhs(op, rhs), 0.0, 1.0)
+        assert counts == {"eigvalsh": 1, "cho_factor": 1}
+        assert bound == 1.0 / (1.0 + 0.0 - norm)
+        assert np.array_equal(first.y, fresh_solve(problem))
+        assert np.array_equal(second.y, 2.0 * first.y)
+
+    def test_spectrum_computed_on_a_copy_serves_the_original(self, counts):
+        op = assemble_operator(random_problem(5).mask, OMEGA)
+        copy = with_rhs(op, np.ones(op.size))
+        assert eigenvalues(copy) is eigenvalues(op)
+        assert counts["eigvalsh"] == 1
+
+    def test_truncation_computes_a_new_spectrum(self, counts):
+        mask = make_mask(IndexWindow(0, 12), range(0, 13))
+        op = assemble_operator(mask, OMEGA)
+        diagnostics(op)
+        trunc = truncate_operator(op, mask, 5)
+        trunc_norm = diagnostics(trunc).spectral_norm
+        assert counts["eigvalsh"] == 2
+        assert trunc_norm == float(np.max(np.abs(EIGVALSH(trunc.matrix))))
+        assert trunc_norm < diagnostics(op).spectral_norm
+
+    def test_one_per_gap_in_dummy_sensitivity(self, counts):
+        rng = np.random.default_rng(6)
+        past = Series(window=IndexWindow(-60, 0), values=rng.standard_normal(61))
+        dummies = [Series(window=IndexWindow(1, 60), values=rng.standard_normal(60))
+                   for _ in range(4)]
+        gaps = [4, 8, 12]
+        report = dummy_sensitivity(past, 3, dummies, gaps, OMEGA)
+        assert counts == {"eigvalsh": len(gaps), "cho_factor": len(gaps)}
+        for m, distance in zip(gaps, report.distances):
+            tail = IndexWindow(m + 1, 60)
+            one_by_one = [forecast(ForecastSpec(past=past, horizon=3, gap=m, omega=OMEGA,
+                                                dummy=d.restricted(tail))).values for d in dummies]
+            expected = max(float(np.linalg.norm(a - b))
+                           for i, a in enumerate(one_by_one) for b in one_by_one[i + 1:])
+            assert distance == expected
+
+    def test_one_per_noisy_lab_trial(self, counts):
+        config = ExperimentConfig(sweep="noise", values=(0.1,), seeds=(3, 4), omega=0.25 * np.pi,
+                                  synth_band=0.2 * np.pi, missing="1..5", window=60, rho=0.0)
+        report = run_experiment(config)
+        assert counts == {"eigvalsh": 2, "cho_factor": 2}
+        op = assemble_operator(make_mask(IndexWindow(-60, 60), range(1, 6)), OMEGA)
+        for row in report["rows"]:
+            assert row["perturbation_bound"] == error_bound(op, 0.0, row["eta_norm"])
+
+    def test_one_per_cli_diagnose(self, counts, tmp_path):
+        assert main(["diagnose", "--missing", "0..5", "--omega", "0.5",
+                     "--output", str(tmp_path / "d.json")]) == 0
+        assert counts["eigvalsh"] == 1
+        assert main(["diagnose", "--gap-sizes", "1..4", "--omega", "0.5",
+                     "--output", str(tmp_path / "s.json")]) == 0
+        assert counts["eigvalsh"] == 1 + 4
+
+
+class TestCachedResults:
+    def test_spectrum_is_bit_identical_and_read_only(self):
+        op = assemble_operator(make_mask(IndexWindow(-30, 30), [-7, 0, 1, 2, 9, 20]), OMEGA)
+        assert np.array_equal(op.spectrum, EIGVALSH(op.matrix))
+        assert eigenvalues(op) is op.spectrum
+        with pytest.raises(ValueError):
+            op.spectrum[0] = 1.0
+
+    @pytest.mark.parametrize("size", [1, 127, 128, 300])
+    def test_symmetry_defect_matches_full_transpose(self, size):
+        matrix = np.random.default_rng(size).standard_normal((size, size))
+        op = GapOperator(matrix=matrix, order=tuple(range(size)), omega=OMEGA)
+        assert diagnostics(op).symmetry_defect == float(np.max(np.abs(matrix - matrix.T)))
+        assert diagnostics(op) is diagnostics(with_rhs(op, np.zeros(size)))
+
+    def test_matrix_is_read_only(self):
+        op = assemble_operator(make_mask(IndexWindow(-5, 5), [0, 1]), OMEGA)
+        with pytest.raises(ValueError):
+            op.matrix[0, 0] = 0.5
+
+    def test_recover_all_matches_recover(self):
+        problems = [random_problem(seed) for seed in (7, 8, 9)]
+        together = recover_all(problems)
+        for problem, solution in zip(problems, together):
+            alone = recover(problem)
+            assert solution.values == alone.values
+            assert solution.solve_report.residual == alone.solve_report.residual
+
+    def test_recover_all_rejects_different_geometry(self):
+        a, b = random_problem(10), random_problem(11, missing=range(2, 13))
+        with pytest.raises(ParameterError):
+            recover_all([a, b])
+        with pytest.raises(ParameterError):
+            recover_all([a, random_problem(12, rho=0.1)])
+
+
+class TestZeroObservations:
+    def test_singular_system_is_an_error_as_with_data(self):
+        window = IndexWindow(-200, 200)
+        zero = RecoveryProblem(series=Series.zeros(window), mask=make_mask(window, range(1, 26)),
+                               omega=BandLimit.from_pi_fraction(0.5))
+        with pytest.raises(SolverError, match="singular"):
+            recover(zero)
+        values = np.zeros(window.size)
+        values[0] = 1.0
+        with pytest.raises(SolverError, match="singular"):
+            recover(RecoveryProblem(series=Series(window=window, values=values),
+                                    mask=zero.mask, omega=zero.omega))
+
+    def test_ill_conditioning_warns_as_with_data(self):
+        window = IndexWindow(-200, 200)
+        mask = make_mask(window, range(1, 15))
+        omega = BandLimit.from_pi_fraction(0.5)
+        zero = recover(RecoveryProblem(series=Series.zeros(window), mask=mask, omega=omega, rho=0.0))
+        assert list(zero.values.values()) == [0.0] * 14
+        assert zero.solve_report.residual == 0.0
+        assert any("ill-conditioned" in w for w in zero.warnings)
+        assert zero.solve_report.norm_bound > 0
+
+    def test_cli_exits_with_solver_error(self, tmp_path):
+        path = tmp_path / "zero.csv"
+        path.write_text("t,value\n" + "".join(f"{t},0\n" for t in range(-200, 201)
+                                              if not 1 <= t <= 25))
+        assert main(["recover", "--input", str(path), "--missing", "1..25", "--omega", "0.5"]) == 4
+
+
+class TestMissingSetCap:
+    def test_library_call_is_geometry_error_before_allocation(self):
+        window = IndexWindow(0, 2 * MAX_MISSING)
+        problem = RecoveryProblem(series=Series.zeros(window),
+                                  mask=make_mask(window, range(1, MAX_MISSING + 2)), omega=OMEGA)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GeometryError, match=str(MAX_MISSING)):
+                recover(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # the gap matrix alone would take 128 MiB
+
+    def test_cli_file_with_far_apart_rows_is_geometry_error(self, tmp_path):
+        path = tmp_path / "far.csv"
+        path.write_text("t,value\n0,1.0\n10000,2.0\n")
+        tracemalloc.start()
+        try:
+            code = main(["recover", "--input", str(path), "--missing", "5", "--omega", "0.25"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak < 16 * 2**20  # 9,999 missing samples: a dense A would take 763 MiB
