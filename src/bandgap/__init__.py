@@ -20,7 +20,7 @@ from .errors import (
     SolverError,
 )
 from .forecast import ForecastResult, ForecastSpec, SensitivityReport, dummy_sensitivity, forecast
-from .kernel import BandLimit, lowpass_kernel, lowpass_kernel_2d
+from .kernel import BandLimit
 from .lab import (
     ExperimentConfig,
     NoisySeries,
@@ -46,8 +46,6 @@ from .operators import (
     assemble_rhs,
     diagnostics,
     eigenvalues,
-    operator_to_csv,
-    truncate_operator,
     with_rhs,
 )
 from .recovery import (
@@ -55,63 +53,7 @@ from .recovery import (
     RecoverySolution,
     default_rho,
     recover,
-    recover_2d,
     recover_single_value,
 )
 from .series import Series, read_series_csv, write_series_csv
 from .solvers import SolveReport, SolverConfig, error_bound, solve_direct, solve_neumann
-
-__all__ = [
-    "BandLimit",
-    "BandgapError",
-    "ExperimentConfig",
-    "ExperimentError",
-    "ForecastResult",
-    "ForecastSpec",
-    "GapOperator",
-    "GeometryError",
-    "IndexWindow",
-    "NoisySeries",
-    "NonConvergenceError",
-    "ObservationMask",
-    "OperatorDiagnostics",
-    "OracleConditioningError",
-    "ParameterError",
-    "RecoveryProblem",
-    "RecoverySolution",
-    "SensitivityReport",
-    "Series",
-    "SignalSpec",
-    "SolveReport",
-    "SolverConfig",
-    "SolverError",
-    "add_noise",
-    "apply_mask",
-    "assemble_operator",
-    "assemble_rhs",
-    "default_rho",
-    "diagnostics",
-    "dummy_sensitivity",
-    "eigenvalues",
-    "error_bound",
-    "forecast",
-    "gen_bandlimited",
-    "lowpass_kernel",
-    "lowpass_kernel_2d",
-    "make_mask",
-    "observed_halfline_exists",
-    "operator_to_csv",
-    "oracle_grid_sensitivity",
-    "oracle_recover",
-    "parse_missing_spec",
-    "read_series_csv",
-    "recover",
-    "recover_2d",
-    "recover_single_value",
-    "run_experiment",
-    "solve_direct",
-    "solve_neumann",
-    "truncate_operator",
-    "with_rhs",
-    "write_series_csv",
-]

@@ -27,12 +27,11 @@ from . import __version__
 from .errors import GeometryError, ParameterError, SolverError
 from .forecast import ForecastSpec, forecast
 from .kernel import BandLimit
-from .lab import ExperimentConfig, run_experiment, write_report_csv, write_report_json
+from .lab import ExperimentConfig, run_experiment, write_report_csv
 from .masks import IndexWindow, make_mask, parse_missing_spec
 from .operators import assemble_operator, diagnostics, eigenvalues
 from .recovery import RecoveryProblem, recover
 from .series import read_series_csv
-from .solvers import SolverConfig
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -44,14 +43,6 @@ def _omega_from_fraction(frac: float, frac2: float | None = None) -> BandLimit:
     if frac2 is not None:
         return BandLimit.from_pi_fraction((frac, frac2))
     return BandLimit.from_pi_fraction(frac)
-
-
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        method=args.solver,
-        tol=args.tol,
-        max_iter=args.max_iter,
-    )
 
 
 def _index_doc(t) -> dict:
@@ -105,10 +96,7 @@ def cmd_recover(args) -> int:
     missing.extend(t for t in absent if t not in listed)
     mask = make_mask(series.window, missing)
     omega = _omega_from_fraction(args.omega, args.omega2)
-    problem = RecoveryProblem(
-        series=series, mask=mask, omega=omega, rho=args.rho, solver=_solver_config(args)
-    )
-    solution = recover(problem)
+    solution = recover(RecoveryProblem(series=series, mask=mask, omega=omega, rho=args.rho))
     report = solution.solve_report
     diag = solution.operator_diagnostics
     config = {
@@ -117,9 +105,6 @@ def cmd_recover(args) -> int:
         "omega": args.omega,
         "omega2": args.omega2,
         "rho": report.rho,
-        "solver": args.solver,
-        "tol": args.tol,
-        "max_iter": args.max_iter,
     }
     doc = _base_doc("recover", config)
     doc["values"] = [dict(_index_doc(t), value=v) for t, v in solution.values.items()]
@@ -164,7 +149,6 @@ def cmd_forecast(args) -> int:
         dummy=dummy,
         n=args.n,
         rho=args.rho,
-        solver=_solver_config(args),
     )
     result = forecast(spec)
     report = result.solution.solve_report
@@ -176,9 +160,6 @@ def cmd_forecast(args) -> int:
         "dummy": args.dummy,
         "omega": args.omega,
         "rho": report.rho,
-        "solver": args.solver,
-        "tol": args.tol,
-        "max_iter": args.max_iter,
     }
     doc = _base_doc("forecast", config)
     doc["values"] = [
@@ -303,11 +284,7 @@ def cmd_simulate(args) -> int:
     report["version"] = __version__
     report["config_file"] = doc
     if args.format == "json":
-        if args.output in (None, "-"):
-            json.dump(report, sys.stdout, indent=2)
-            sys.stdout.write("\n")
-        else:
-            write_report_json(report, args.output)
+        _write_text(args.output, _json(report, indent=2) + "\n")
     else:
         if args.output in (None, "-"):
             raise ParameterError("CSV simulate output requires --output PATH")
@@ -324,12 +301,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--solver", choices=("direct", "neumann"), default="direct")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=10_000)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bandgap",
@@ -344,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, required=True, help="band limit as a fraction of pi")
     p.add_argument("--omega2", type=float, default=None, help="second-axis band limit (2D only)")
     p.add_argument("--rho", type=float, default=None, help="ridge weight (default: auto)")
-    _add_solver_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_recover)
 
@@ -356,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dummy", default="zero", help='"zero" or a CSV on {gap+1..n}')
     p.add_argument("--omega", type=float, default=0.25, help="band limit as a fraction of pi")
     p.add_argument("--rho", type=float, default=0.0)
-    _add_solver_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_forecast)
 

@@ -13,7 +13,7 @@ measures empirically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .kernel import BandLimit
 from .masks import IndexWindow, make_mask
 from .recovery import RecoveryProblem, RecoverySolution, recover_all
 from .series import Series
-from .solvers import SolverConfig
 
 
 @dataclass
@@ -48,7 +47,6 @@ class ForecastSpec:
     dummy: Series | None = None
     n: int | None = None
     rho: float = 0.0
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +116,6 @@ def _forecasts(spec: ForecastSpec, dummies: list[Series | None]) -> list[Forecas
             mask=mask,
             omega=spec.omega,
             rho=spec.rho,
-            solver=spec.solver,
         ))
     results = []
     for solution in recover_all(problems):
@@ -150,7 +147,6 @@ def dummy_sensitivity(
     gaps: list[int],
     omega: BandLimit,
     rho: float = 0.0,
-    solver: SolverConfig | None = None,
 ) -> SensitivityReport:
     """Measure how much the accepted forecast depends on the dummy choice.
 
@@ -176,7 +172,6 @@ def dummy_sensitivity(
     if gaps[-1] >= n:
         raise GeometryError(f"largest gap {gaps[-1]} leaves no dummy range before n = {n}")
 
-    solver = solver or SolverConfig()
     distances = []
     for m in gaps:
         tail = IndexWindow(m + 1, n)
@@ -188,7 +183,6 @@ def dummy_sensitivity(
             omega=omega,
             dummy=restricted[0],
             rho=rho,
-            solver=solver,
         )
         forecasts = [result.values for result in _forecasts(spec, restricted)]
         worst = 0.0

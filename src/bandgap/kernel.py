@@ -54,30 +54,6 @@ class BandLimit:
         return cls(float(frac) * math.pi)
 
 
-def _as_axes(omega, ndim: int) -> tuple[float, ...]:
-    bl = omega if isinstance(omega, BandLimit) else BandLimit(omega)
-    if bl.ndim != ndim:
-        raise ParameterError(f"expected a {ndim}D band limit, got {bl.ndim}D")
-    return bl.axes
-
-
-def lowpass_kernel(omega: BandLimit | float, t: int) -> float:
-    """Evaluate h(t) = omega*sinc(omega*t)/pi at an integer lag.
-
-    Even in t, peaks at h(0) = omega/pi, bounded by omega/pi everywhere.
-    """
-    (w,) = _as_axes(omega, 1)
-    if t == 0:
-        return w / math.pi
-    return math.sin(w * t) / (math.pi * t)
-
-
-def lowpass_kernel_2d(omega: BandLimit | tuple[float, float], t: tuple[int, int]) -> float:
-    """Separable 2D kernel: product of the per-axis 1D kernels."""
-    w1, w2 = _as_axes(omega, 2)
-    return lowpass_kernel(w1, t[0]) * lowpass_kernel(w2, t[1])
-
-
 def kernel_profile(omega: float, lags: np.ndarray) -> np.ndarray:
     """Vectorized h over an array of integer lags (np.sinc is sin(pi x)/(pi x))."""
     lags = np.asarray(lags, dtype=np.float64)

@@ -442,12 +442,6 @@ _CSV_FIELDS = [
 ]
 
 
-def write_report_json(report: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=2)
-        f.write("\n")
-
-
 def write_report_csv(report: dict, path) -> None:
     """Flat per-trial rows; the config echo rides along in comment lines."""
     with open(path, "w", newline="", encoding="utf-8") as f:

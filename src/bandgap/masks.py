@@ -116,13 +116,6 @@ class ObservationMask:
     def n_observed(self) -> int:
         return self.window.size - len(self.missing)
 
-    def observed(self) -> list[Index]:
-        gaps = set(self.missing)
-        return [t for t in self.window.indices() if t not in gaps]
-
-    def is_missing(self, t: Index) -> bool:
-        return t in set(self.missing)
-
 
 def make_mask(window: IndexWindow, missing) -> ObservationMask:
     """Validate a missing-index collection against a window and canonicalize it.

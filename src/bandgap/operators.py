@@ -8,10 +8,11 @@ semidefinite with spectral norm < 1 for finite M, which is what makes the
 recovery equation uniquely solvable.
 
 A is read per axis from a lag table h[|t_i - t_j|], one kernel evaluation
-per distinct lag.  a(x) is the masked series low-pass filtered by
-:func:`kernel.lowpass_filter` (axis by axis in 2D) and read off on M: for
-a window of N samples that is O(N log N) time and O(N) memory, whatever
-the size of M.
+per distinct lag, and filled one block of rows at a time, so assembly
+needs little memory beyond A itself.  a(x) is the masked series low-pass
+filtered by :func:`kernel.lowpass_filter` (axis by axis in 2D) and read
+off on M: for a window of N samples that is O(N log N) time and O(N)
+memory, whatever the size of M.
 
 A is read-only once assembled, so what depends on it alone (its spectrum,
 and the Cholesky factors the solvers take) is computed once per matrix
@@ -33,6 +34,10 @@ from .series import Series
 
 # Largest missing set assembled: A then takes 4096^2 doubles = 128 MiB.
 MAX_MISSING = 4096
+
+# Entries of A filled per block of rows; the block's lag and kernel-value
+# temporaries then take 512 KiB each, whatever the size of A.
+BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,10 +119,15 @@ def assemble_operator(mask: ObservationMask, omega: BandLimit) -> GapOperator:
             f"recovered (the gap matrix is dense)"
         )
     coords = _coord_array(mask.missing)
-    matrix = np.ones((len(coords), len(coords)))
-    for axis, w in enumerate(omega.axes):
-        lags = np.abs(coords[:, axis, None] - coords[None, :, axis])
-        matrix = matrix * kernel_profile(w, np.arange(lags.max() + 1))[lags]
+    m = len(coords)
+    tables = [kernel_profile(w, np.arange(np.ptp(coords[:, axis]) + 1))
+              for axis, w in enumerate(omega.axes)]
+    matrix = np.ones((m, m))
+    step = max(1, BLOCK_ENTRIES // m)
+    for start in range(0, m, step):
+        rows = slice(start, start + step)
+        for table, t in zip(tables, coords.T):
+            matrix[rows] *= table[np.abs(t[rows, None] - t[None, :])]
     return GapOperator(matrix=matrix, order=tuple(mask.missing), omega=omega)
 
 
@@ -150,27 +160,6 @@ def with_rhs(op: GapOperator, rhs: np.ndarray) -> GapOperator:
     if rhs.shape != (op.size,):
         raise GeometryError(f"rhs length {rhs.shape} does not match operator size {op.size}")
     return dataclasses.replace(op, rhs=rhs)
-
-
-def truncate_operator(op: GapOperator, mask: ObservationMask, n: int) -> GapOperator:
-    """Restrict the operator to missing indices with |t| <= n (Chebyshev norm in 2D).
-
-    Rows and columns for indices outside the truncation range are zeroed,
-    keeping the index order shared with the untruncated operator.  The
-    spectral norm cannot increase.  A right-hand side, if attached, is kept
-    unchanged: truncation acts on the operator only.
-    """
-    if n < 0:
-        raise ParameterError("truncation bound must be nonnegative")
-    if op.order != tuple(mask.missing):
-        raise GeometryError("operator order does not match the mask's missing set")
-    coords = _coord_array(op.order)
-    keep = np.max(np.abs(coords), axis=1) <= n
-    if np.all(keep):
-        return op
-    # A new matrix: nothing derived from the untruncated one carries over.
-    matrix = op.matrix * keep[:, None] * keep[None, :]
-    return GapOperator(matrix=matrix, order=op.order, omega=op.omega, rhs=op.rhs)
 
 
 def eigenvalues(op: GapOperator) -> np.ndarray:
@@ -209,11 +198,3 @@ def _diagnostics(op: GapOperator) -> OperatorDiagnostics:
         symmetry_defect=defect,
         size=op.size,
     )
-
-
-def operator_to_csv(op: GapOperator, path) -> None:
-    """Export the matrix row-major; the header comment records the index order."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"# gap operator, order={list(op.order)!r}, omega={op.omega.axes!r}\n")
-        for row in op.matrix:
-            f.write(",".join(repr(float(v)) for v in row) + "\n")

@@ -10,16 +10,16 @@ rho against one operator, one spectrum and one factorization.
 
 `recover_single_value` is the closed form for a single gap,
 
-    x_hat(s) = omega/(pi - omega) * sum_{m != s} x(m) * sinc(omega*(s - m)),
+    x_hat(s) = omega/(pi - omega) * sum_{m != s} x(m) * sinc(omega*(s - m)).
 
-and `recover_2d` handles grids with the separable rectangular-band kernel,
-collapsing exactly to the 1D path when the window is a single row or column.
+Grids use the separable rectangular-band kernel, and collapse exactly to
+the 1D path when the window is a single row or column.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .errors import GeometryError, ParameterError
 from .kernel import BandLimit, kernel_profile
 from .masks import IndexWindow, ObservationMask, make_mask, observed_halfline_exists
 from .operators import (
-    GapOperator,
     OperatorDiagnostics,
     assemble_operator,
     assemble_rhs,
@@ -35,7 +34,7 @@ from .operators import (
     with_rhs,
 )
 from .series import Series
-from .solvers import SolveReport, SolverConfig, solve_direct, solve_neumann
+from .solvers import SolveReport, solve_direct
 
 # A tiny ridge buys stability once the gap set is large enough for the
 # smallest eigenvalue of I - A to become tiny; small gaps are left exact.
@@ -65,7 +64,6 @@ class RecoveryProblem:
     mask: ObservationMask
     omega: BandLimit
     rho: float | None = None
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,12 +89,6 @@ def _resolve_rho(problem: RecoveryProblem) -> float:
     return float(rho)
 
 
-def _solve(op: GapOperator, rho: float, config: SolverConfig) -> SolveReport:
-    if config.method == "neumann":
-        return solve_neumann(op, rho, config)
-    return solve_direct(op, rho, config)
-
-
 def _recover_pipeline(problems: list[RecoveryProblem]) -> list[RecoverySolution]:
     """One operator, spectrum and factorization for the shared geometry; one solve per series."""
     problem = problems[0]
@@ -114,7 +106,7 @@ def _recover_pipeline(problems: list[RecoveryProblem]) -> list[RecoverySolution]
     diag = diagnostics(op)
     solutions = []
     for p in problems:
-        report = _solve(with_rhs(op, assemble_rhs(p.series, mask, omega)), rho, problem.solver)
+        report = solve_direct(with_rhs(op, assemble_rhs(p.series, mask, omega)), rho)
         solutions.append(RecoverySolution(
             values={t: float(v) for t, v in zip(op.order, report.y)},
             operator_diagnostics=diag,
@@ -125,7 +117,13 @@ def _recover_pipeline(problems: list[RecoveryProblem]) -> list[RecoverySolution]
 
 
 def recover(problem: RecoveryProblem) -> RecoverySolution:
-    """Recover the missing trace; dispatches on window dimensionality."""
+    """Recover the missing trace on a 1D or 2D window.
+
+    A 2D window that is a single row or column carries no resolvable
+    structure along the degenerate axis, so the problem is routed through
+    the 1D pipeline on the other axis; keeping the tensor kernel instead
+    would silently rescale everything by the degenerate axis' omega/pi.
+    """
     return recover_all([problem])[0]
 
 
@@ -140,9 +138,9 @@ def recover_all(problems: list[RecoveryProblem]) -> list[RecoverySolution]:
     if not problems:
         return []
     first = problems[0]
-    shared = (first.mask, first.omega, first.rho, first.solver)
-    if any((p.mask, p.omega, p.rho, p.solver) != shared for p in problems[1:]):
-        raise ParameterError("problems recovered together must share mask, omega, rho and solver")
+    shared = (first.mask, first.omega, first.rho)
+    if any((p.mask, p.omega, p.rho) != shared for p in problems[1:]):
+        raise ParameterError("problems recovered together must share mask, omega and rho")
     window = first.mask.window
     degenerate = _degenerate_axes(window) if window.ndim == 2 else []
     if degenerate and window.size > 1:
@@ -179,7 +177,6 @@ def _collapse_to_1d(problem: RecoveryProblem, squeeze_axis: int) -> RecoveryProb
         mask=make_mask(sub_window, [t[keep_axis] for t in problem.mask.missing]),
         omega=BandLimit(problem.omega.axes[keep_axis]),
         rho=problem.rho,
-        solver=problem.solver,
     )
 
 
@@ -188,16 +185,3 @@ def _expand_to_2d(problem: RecoveryProblem, solution: RecoverySolution) -> Recov
     return dataclasses.replace(
         solution, values=dict(zip(problem.mask.missing, solution.values.values()))
     )
-
-
-def recover_2d(problem: RecoveryProblem) -> RecoverySolution:
-    """Recovery on an integer grid with the separable rectangular-band kernel.
-
-    A window that is a single row or column carries no resolvable structure
-    along the degenerate axis, so the problem is routed through the 1D
-    pipeline on the other axis; keeping the tensor kernel instead would
-    silently rescale everything by the degenerate axis' omega/pi.
-    """
-    if problem.mask.window.ndim != 2:
-        raise GeometryError("recover_2d requires a 2D window")
-    return recover(problem)

@@ -62,16 +62,6 @@ class Series:
     def zeros(cls, window: IndexWindow) -> "Series":
         return cls(window=window, values=np.zeros(window.shape))
 
-    @classmethod
-    def from_mapping(cls, window: IndexWindow, mapping) -> "Series":
-        """Build from an index->value mapping; absent indices get zero."""
-        values = np.zeros(window.shape)
-        for t, v in mapping.items():
-            if not window.contains(t):
-                raise GeometryError(f"index {t!r} outside window")
-            values[window.offset_of(t)] = float(v)
-        return cls(window=window, values=values)
-
 
 def _parse_header(fields: list[str]) -> int:
     fields = [f.strip().lower() for f in fields]

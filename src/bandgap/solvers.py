@@ -3,9 +3,11 @@
 For finite missing sets the matrix (1+rho)*I - A is symmetric positive
 definite (its eigenvalues are at least 1 + rho - ||A|| > 0), so the direct
 path uses a Cholesky factorization, which certifies definiteness as a side
-effect.  The iterative path realizes the geometric-series expansion of the
-inverse: y_{k+1} = (A y_k + a) / (1+rho), a contraction with factor
-q = ||A||/(1+rho) < 1.
+effect; it is the one solve of the recovery pipeline.  The iterative path
+realizes the geometric-series expansion of the inverse:
+y_{k+1} = (A y_k + a) / (1+rho), a contraction with factor
+q = ||A||/(1+rho) < 1.  It is kept as an independent cross-check of the
+direct solve.
 """
 
 from __future__ import annotations
@@ -19,27 +21,22 @@ from .errors import NonConvergenceError, ParameterError, SolverError
 from .operators import GapOperator, diagnostics
 
 
+# A margin 1 + rho - ||A|| below this makes a solve warn of ill-conditioning.
+CONDITION_WARN_THRESHOLD = 1e-8
+
+
 @dataclass
 class SolverConfig:
-    """Solver knobs; `rho` here is only a default for callers that do not pass one."""
+    """Stopping rule of the Neumann iteration (`solve_neumann`)."""
 
-    rho: float = 0.0
-    method: str = "direct"
     tol: float = 1e-12
     max_iter: int = 10_000
-    condition_warn_threshold: float = 1e-8
 
     def __post_init__(self):
-        if self.rho < 0:
-            raise ParameterError("rho must be nonnegative")
-        if self.method not in ("direct", "neumann"):
-            raise ParameterError(f"unknown solver method {self.method!r}")
         if not (self.tol > 0):
             raise ParameterError("tol must be positive")
         if self.max_iter < 1:
             raise ParameterError("max_iter must be at least 1")
-        if self.condition_warn_threshold <= 0:
-            raise ParameterError("condition_warn_threshold must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,12 +57,14 @@ def _validate(op: GapOperator, rho: float) -> np.ndarray:
         raise ParameterError("rho must be nonnegative")
     if op.rhs is None:
         raise SolverError("operator has no right-hand side attached")
-    if not np.all(np.isfinite(op.matrix)) or not np.all(np.isfinite(op.rhs)):
+    # The matrix is read-only, so its check is made once; the rhs is checked per solve.
+    finite_matrix = op.derived("finite", lambda: bool(np.all(np.isfinite(op.matrix))))
+    if not finite_matrix or not np.all(np.isfinite(op.rhs)):
         raise SolverError("non-finite entries in the system")
     return np.asarray(op.rhs, dtype=np.float64)
 
 
-def _margin_and_warnings(op: GapOperator, rho: float, threshold: float) -> tuple[float, list[str]]:
+def _margin_and_warnings(op: GapOperator, rho: float) -> tuple[float, list[str]]:
     norm = diagnostics(op).spectral_norm
     margin = 1.0 + rho - norm
     if margin <= 0:
@@ -73,9 +72,10 @@ def _margin_and_warnings(op: GapOperator, rho: float, threshold: float) -> tuple
             f"system is singular at this rho: 1 + rho - ||A|| = {margin:.3e} <= 0"
         )
     warnings = []
-    if margin < threshold:
+    if margin < CONDITION_WARN_THRESHOLD:
         warnings.append(
-            f"ill-conditioned system: 1 + rho - ||A|| = {margin:.3e} below threshold {threshold:.1e}"
+            f"ill-conditioned system: 1 + rho - ||A|| = {margin:.3e} below threshold "
+            f"{CONDITION_WARN_THRESHOLD:.1e}"
         )
     return margin, warnings
 
@@ -95,24 +95,23 @@ def _cholesky(op: GapOperator, rho: float):
     def factor():
         system = (1.0 + rho) * np.eye(op.size) - op.matrix
         try:
-            return linalg.cho_factor(system, overwrite_a=True)
+            return linalg.cho_factor(system, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"positive-definite factorization failed: {exc}") from exc
 
     return op.derived(("cholesky", rho), factor)
 
 
-def solve_direct(op: GapOperator, rho: float, config: SolverConfig | None = None) -> SolveReport:
+def solve_direct(op: GapOperator, rho: float) -> SolveReport:
     """Solve ((1+rho)I - A) y = a by Cholesky factorization.
 
     The factor is kept on the operator, so further right-hand sides for the
     same matrix and rho (operators made by `with_rhs`) cost two triangular
     solves each.
     """
-    config = config or SolverConfig()
     a = _validate(op, rho)
-    margin, warnings = _margin_and_warnings(op, rho, config.condition_warn_threshold)
-    y = linalg.cho_solve(_cholesky(op, rho), a)
+    margin, warnings = _margin_and_warnings(op, rho)
+    y = linalg.cho_solve(_cholesky(op, rho), a, check_finite=False)
     return SolveReport(
         y=y,
         residual=_residual(op, rho, y),
@@ -135,7 +134,7 @@ def solve_neumann(op: GapOperator, rho: float, config: SolverConfig | None = Non
     """
     config = config or SolverConfig()
     a = _validate(op, rho)
-    margin, warnings = _margin_and_warnings(op, rho, config.condition_warn_threshold)
+    margin, warnings = _margin_and_warnings(op, rho)
     q = (1.0 + rho - margin) / (1.0 + rho)
     if not (q < 1.0):
         raise SolverError(f"contraction factor ||A||/(1+rho) = {q:.6f} is not below 1")

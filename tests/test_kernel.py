@@ -5,32 +5,37 @@ import math
 import numpy as np
 import pytest
 
-from bandgap import BandLimit, ParameterError, lowpass_kernel, lowpass_kernel_2d
+from bandgap import BandLimit, IndexWindow, ParameterError, assemble_operator, make_mask
 from bandgap.kernel import kernel_profile
 
 
+def h(frac, t):
+    """h(t) = omega*sin(omega*t)/(omega*t*pi) straight from the definition, omega = frac*pi."""
+    w = frac * math.pi
+    return w / math.pi if t == 0 else math.sin(w * t) / (math.pi * t)
+
+
 def test_peak_value_is_omega_over_pi():
-    assert lowpass_kernel(BandLimit.from_pi_fraction(0.25), 0) == pytest.approx(0.25, abs=0)
+    assert kernel_profile(0.25 * math.pi, 0) == pytest.approx(0.25, abs=1e-16)
 
 
 def test_value_at_lag_two():
     # 0.25 * sinc(pi/2) computed straight from the definition
     expected = 0.25 * math.sin(math.pi / 2) / (math.pi / 2)
-    assert lowpass_kernel(BandLimit.from_pi_fraction(0.25), 2) == pytest.approx(expected, abs=1e-15)
+    assert kernel_profile(0.25 * math.pi, 2) == pytest.approx(expected, abs=1e-15)
     assert expected == pytest.approx(0.1591549, abs=1e-7)
 
 
 def test_half_band_zero_at_even_lags():
-    assert lowpass_kernel(BandLimit.from_pi_fraction(0.5), 2) == pytest.approx(0.0, abs=1e-16)
-    assert lowpass_kernel(BandLimit.from_pi_fraction(0.5), 4) == pytest.approx(0.0, abs=1e-15)
+    assert kernel_profile(0.5 * math.pi, [2, 4]) == pytest.approx([0.0, 0.0], abs=1e-16)
 
 
 @pytest.mark.parametrize("frac", [0.1, 0.25, 0.5, 0.9])
 def test_evenness_and_bound(frac):
-    bl = BandLimit.from_pi_fraction(frac)
-    for t in range(0, 50):
-        assert lowpass_kernel(bl, t) == lowpass_kernel(bl, -t)
-        assert abs(lowpass_kernel(bl, t)) <= frac + 1e-15
+    lags = np.arange(0, 50)
+    prof = kernel_profile(frac * math.pi, lags)
+    assert np.array_equal(prof, kernel_profile(frac * math.pi, -lags))
+    assert np.all(np.abs(prof) <= frac + 1e-15)
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.1, math.pi, 3.5, float("nan")])
@@ -38,31 +43,33 @@ def test_omega_domain_errors(bad):
     with pytest.raises(ParameterError):
         BandLimit(bad)
     with pytest.raises(ParameterError):
-        lowpass_kernel(bad, 1)
+        BandLimit((0.25, bad))
 
 
 def test_2d_values():
-    bl = BandLimit.from_pi_fraction((0.25, 0.25))
-    assert lowpass_kernel_2d(bl, (0, 0)) == pytest.approx(0.0625, abs=1e-16)
-    assert lowpass_kernel_2d(BandLimit.from_pi_fraction((0.5, 0.5)), (2, 0)) == pytest.approx(0.0, abs=1e-16)
-    mixed = BandLimit.from_pi_fraction((0.25, 0.5))
-    h1 = math.sin(0.25 * math.pi) / (math.pi * 1)
-    h2 = math.sin(0.5 * math.pi) / (math.pi * 1)
-    assert lowpass_kernel_2d(mixed, (1, 1)) == pytest.approx(h1 * h2, abs=1e-15)
+    # The 2D kernel is the product of the per-axis kernels, read here from
+    # the gap matrix of the indices (0, 0), (1, 1) and (2, 0).
+    mask = make_mask(IndexWindow((0, 0), (2, 2)), [(0, 0), (1, 1), (2, 0)])
+
+    def matrix(fracs):
+        return assemble_operator(mask, BandLimit.from_pi_fraction(fracs)).matrix
+
+    assert matrix((0.25, 0.25))[0, 0] == pytest.approx(0.0625, abs=1e-16)
+    assert matrix((0.5, 0.5))[0, 2] == pytest.approx(0.0, abs=1e-16)
+    assert matrix((0.25, 0.5))[0, 1] == pytest.approx(h(0.25, 1) * h(0.5, 1), abs=1e-15)
 
 
 def test_2d_central_symmetry():
-    bl = BandLimit.from_pi_fraction((0.3, 0.7))
-    for t in [(1, 2), (-3, 5), (4, -4)]:
-        assert lowpass_kernel_2d(bl, t) == lowpass_kernel_2d(bl, (-t[0], -t[1]))
+    mask = make_mask(IndexWindow((-5, -5), (5, 5)), [(1, 2), (-3, 5), (4, -4), (0, 0)])
+    matrix = assemble_operator(mask, BandLimit.from_pi_fraction((0.3, 0.7))).matrix
+    assert np.array_equal(matrix, matrix.T)
 
 
 def test_profile_matches_scalar():
-    bl = BandLimit.from_pi_fraction(0.37)
     lags = np.arange(-30, 31)
-    prof = kernel_profile(bl.axes[0], lags)
+    prof = kernel_profile(0.37 * math.pi, lags)
     for t, v in zip(lags, prof):
-        assert v == pytest.approx(lowpass_kernel(bl, int(t)), abs=1e-15)
+        assert v == pytest.approx(h(0.37, int(t)), abs=1e-15)
 
 
 def test_convolution_reproduces_bandlimited_signal():

@@ -26,7 +26,8 @@ from bandgap import (
     run_experiment,
 )
 from bandgap.kernel import kernel_profile
-from bandgap.lab import write_report_csv, write_report_json
+from bandgap.cli import main
+from bandgap.lab import write_report_csv
 
 OMEGA = BandLimit.from_pi_fraction(0.25)
 
@@ -264,13 +265,16 @@ class TestExperiments:
             omega=0.25 * np.pi, synth_band=0.2 * np.pi, missing="1..2", window=100,
         )
         report = run_experiment(config)
-        jpath = tmp_path / "report.json"
-        cpath = tmp_path / "report.csv"
-        write_report_json(report, jpath)
-        write_report_csv(report, cpath)
+        cfg, jpath = tmp_path / "config.json", tmp_path / "report.json"
+        cfg.write_text(json.dumps({"sweep": "noise", "values": [0.0, 0.05], "seeds": [1], "omega": 0.25,
+                                   "synth_band": 0.2, "missing": "1..2", "window": 100}))
+        assert main(["simulate", "--config", str(cfg), "--output", str(jpath)]) == 0
         loaded = json.loads(jpath.read_text())
         assert loaded["config"]["sweep"] == "noise"
         assert loaded["generator"] == lab.RNG_ALGORITHM
+        assert len(loaded["rows"]) == len(report["rows"])
+        cpath = tmp_path / "report.csv"
+        write_report_csv(report, cpath)
         lines = cpath.read_text().strip().splitlines()
         assert lines[0].startswith("# generator=")
         assert lines[2].split(",")[0] == "sweep"

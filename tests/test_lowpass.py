@@ -126,6 +126,29 @@ def test_lag_table_operator_is_bit_identical(problem):
     assert np.array_equal(assemble_operator(mask, band).matrix, dense_operator(mask, omegas))
 
 
+def test_operator_assembly_peak_stays_near_the_matrix():
+    """|M| = 1,024 in 1D and in 2D (16 blocks of 8 x 8): the temporaries of
+    assembly, filled a block of rows at a time, stay within half of A."""
+    rng = np.random.default_rng(11)
+    line = IndexWindow(0, 9_999)
+    grid = IndexWindow((0, 0), (255, 255))
+    blocks = [(16 + 60 * i + r, 16 + 60 * j + c)
+              for i in range(4) for j in range(4) for r in range(8) for c in range(8)]
+    cases = [(make_mask(line, rng.choice(10_000, size=1_024, replace=False)), (0.3,)),
+             (make_mask(grid, blocks), (0.3, 0.6))]
+    for mask, omegas in cases:
+        band = BandLimit(omegas if len(omegas) == 2 else omegas[0])
+        tracemalloc.start()
+        try:
+            op = assemble_operator(mask, band)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.size == 1_024
+        assert peak <= 1.5 * op.matrix.nbytes
+        assert np.array_equal(op.matrix, dense_operator(mask, omegas))
+
+
 def test_filter_along_second_axis_matches_first():
     rng = np.random.default_rng(4)
     grid = rng.standard_normal((7, 33))

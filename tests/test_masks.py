@@ -108,9 +108,10 @@ class TestApplyMask:
         w = IndexWindow(-4, 4)
         mask = make_mask(w, [-3, 0, 2])
         gaps = set(mask.missing)
-        obs = set(mask.observed())
+        obs = {t for t in w.indices() if t not in gaps}
         assert gaps | obs == set(w.indices())
         assert gaps & obs == set()
+        assert mask.n_observed == len(obs) == 6
 
     def test_window_mismatch(self):
         s = Series(window=IndexWindow(0, 4), values=np.zeros(5))

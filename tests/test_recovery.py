@@ -4,18 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandgap import (
     BandLimit,
+    BandgapError,
     GeometryError,
     IndexWindow,
     RecoveryProblem,
+    ParameterError,
     Series,
-    SolverConfig,
     default_rho,
     make_mask,
     recover,
-    recover_2d,
     recover_single_value,
 )
 from bandgap.kernel import kernel_profile
@@ -58,7 +60,7 @@ class TestSingleValue:
         # omega/(pi-omega) = 1/3 when omega = pi/4: one observed unit sample
         # at distance d contributes sinc(omega*d)/3.
         w = IndexWindow(-5, 5)
-        s = Series.from_mapping(w, {2: 1.0})
+        s = Series(window=w, values=np.eye(11)[7])  # unit sample at t = 2
         got = recover_single_value(s, 0, BandLimit.from_pi_fraction(0.25))
         arg = 0.25 * math.pi * 2
         assert got == pytest.approx(math.sin(arg) / arg / 3.0, rel=1e-14)
@@ -160,17 +162,6 @@ class TestRecover:
                                         omega=BandLimit.from_pi_fraction(0.25)))
         assert large.solve_report.rho == 1e-4
 
-    def test_neumann_method_selected(self):
-        w = IndexWindow(-20, 20)
-        rng = np.random.default_rng(15)
-        s = Series(window=w, values=rng.standard_normal(41))
-        mask = make_mask(w, [0, 1])
-        sol = recover(RecoveryProblem(series=s, mask=mask, omega=BandLimit.from_pi_fraction(0.25),
-                                      solver=SolverConfig(method="neumann", tol=1e-13)))
-        assert sol.solve_report.method == "neumann"
-        direct = recover(RecoveryProblem(series=s, mask=mask, omega=BandLimit.from_pi_fraction(0.25)))
-        assert np.max(np.abs(sol.vector() - direct.vector())) <= 1e-11
-
     def test_empty_missing_rejected(self):
         w = IndexWindow(-5, 5)
         s = Series.zeros(w)
@@ -190,8 +181,8 @@ class TestRecover2D:
     def test_zero_field(self):
         w = IndexWindow((-5, -5), (5, 5))
         mask = make_mask(w, [(0, 0), (0, 1)])
-        sol = recover_2d(RecoveryProblem(series=Series.zeros(w), mask=mask,
-                                         omega=BandLimit.from_pi_fraction((0.25, 0.25))))
+        sol = recover(RecoveryProblem(series=Series.zeros(w), mask=mask,
+                                      omega=BandLimit.from_pi_fraction((0.25, 0.25))))
         assert all(v == 0.0 for v in sol.values.values())
 
     def test_single_row_collapses_to_1d(self):
@@ -200,8 +191,8 @@ class TestRecover2D:
         w2 = IndexWindow((-200, 0), (200, 0))
         s2 = Series(window=w2, values=vals.reshape(401, 1))
         mask2 = make_mask(w2, [(0, 0)])
-        sol2 = recover_2d(RecoveryProblem(series=s2, mask=mask2,
-                                          omega=BandLimit.from_pi_fraction((0.25, 0.4)), rho=0.0))
+        sol2 = recover(RecoveryProblem(series=s2, mask=mask2,
+                                       omega=BandLimit.from_pi_fraction((0.25, 0.4)), rho=0.0))
         s1 = Series(window=IndexWindow(-200, 200), values=vals)
         expected = recover_single_value(s1, 0, BandLimit.from_pi_fraction(0.25))
         assert sol2.values[(0, 0)] == pytest.approx(expected, abs=1e-10)
@@ -212,8 +203,8 @@ class TestRecover2D:
         w2 = IndexWindow((3, -50), (3, 50))
         s2 = Series(window=w2, values=vals.reshape(1, 101))
         mask2 = make_mask(w2, [(3, 7)])
-        sol2 = recover_2d(RecoveryProblem(series=s2, mask=mask2,
-                                          omega=BandLimit.from_pi_fraction((0.7, 0.25)), rho=0.0))
+        sol2 = recover(RecoveryProblem(series=s2, mask=mask2,
+                                       omega=BandLimit.from_pi_fraction((0.7, 0.25)), rho=0.0))
         s1 = Series(window=IndexWindow(-50, 50), values=vals)
         expected = recover_single_value(s1, 7, BandLimit.from_pi_fraction(0.25))
         assert sol2.values[(3, 7)] == pytest.approx(expected, abs=1e-10)
@@ -229,8 +220,8 @@ class TestRecover2D:
         s = Series(window=w, values=field)
         block = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
         mask = make_mask(w, block)
-        sol = recover_2d(RecoveryProblem(series=s, mask=mask,
-                                         omega=BandLimit.from_pi_fraction((0.25, 0.25)), rho=0.0))
+        sol = recover(RecoveryProblem(series=s, mask=mask,
+                                      omega=BandLimit.from_pi_fraction((0.25, 0.25)), rho=0.0))
         truth = {(i, j): h1[half + i] * h2[half + j] for i, j in block}
         worst = max(abs(sol.values[t] - truth[t]) for t in block) / max(abs(v) for v in truth.values())
         assert worst <= 1e-2
@@ -240,8 +231,56 @@ class TestRecover2D:
         s2 = Series.zeros(w2)
         mask2 = make_mask(w2, [(0, 0)])
         with pytest.raises(Exception):
-            recover_2d(RecoveryProblem(series=s2, mask=mask2, omega=BandLimit.from_pi_fraction(0.25)))
+            recover(RecoveryProblem(series=s2, mask=mask2, omega=BandLimit.from_pi_fraction(0.25)))
         s1 = Series.zeros(IndexWindow(-5, 5))
-        with pytest.raises(GeometryError):
-            recover_2d(RecoveryProblem(series=s1, mask=make_mask(IndexWindow(-5, 5), [0]),
-                                       omega=BandLimit.from_pi_fraction((0.25, 0.25))))
+        with pytest.raises(ParameterError):
+            recover(RecoveryProblem(series=s1, mask=make_mask(IndexWindow(-5, 5), [0]),
+                                    omega=BandLimit.from_pi_fraction((0.25, 0.25))))
+
+
+@st.composite
+def one_line_problems(draw):
+    """A 1D problem and the same samples on a single-row or single-column 2D window."""
+    n = draw(st.integers(2, 60))
+    lo, other = draw(st.integers(-30, 30)), draw(st.integers(-30, 30))
+    offsets = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 15)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal(n)
+    frac, frac_other = draw(st.floats(0.01, 0.99)), draw(st.floats(0.01, 0.99))
+    rho = draw(st.sampled_from([None, 0.0, 1e-3]))
+    window = IndexWindow(lo, lo + n - 1)
+    line = RecoveryProblem(series=Series(window=window, values=values),
+                           mask=make_mask(window, [lo + k for k in offsets]),
+                           omega=BandLimit.from_pi_fraction(frac), rho=rho)
+    if draw(st.booleans()):  # single row: the first axis is degenerate
+        grid = IndexWindow((other, lo), (other, lo + n - 1))
+        missing = [(other, lo + k) for k in offsets]
+        fracs, shape = (frac_other, frac), (1, n)
+    else:
+        grid = IndexWindow((lo, other), (lo + n - 1, other))
+        missing = [(lo + k, other) for k in offsets]
+        fracs, shape = (frac, frac_other), (n, 1)
+    flat = RecoveryProblem(series=Series(window=grid, values=values.reshape(shape)),
+                           mask=make_mask(grid, missing),
+                           omega=BandLimit.from_pi_fraction(fracs), rho=rho)
+    return line, flat
+
+
+def outcome(problem):
+    try:
+        return recover(problem)
+    except BandgapError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_line_problems())
+def test_single_row_or_column_recovery_equals_1d(problems):
+    line, flat = problems
+    want, got = outcome(line), outcome(flat)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert list(got.values) == list(flat.mask.missing)
+    assert np.max(np.abs(got.vector() - want.vector())) <= 1e-12
+    assert got.warnings == want.warnings

@@ -1,12 +1,16 @@
 """Direct vs iterative solves, perturbation bounds, and solution-map properties."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bandgap import (
     BandLimit,
+    GapOperator,
     IndexWindow,
     NonConvergenceError,
     ParameterError,
@@ -15,6 +19,7 @@ from bandgap import (
     SolverError,
     assemble_operator,
     assemble_rhs,
+    diagnostics,
     error_bound,
     make_mask,
     solve_direct,
@@ -101,9 +106,9 @@ class TestDirect:
         assert all(x >= y - 1e-12 for x, y in zip(norms, norms[1:]))
 
     def test_conditioning_warning(self):
-        op = operator_with_rhs([0], 0.9, [1.0])
-        config = SolverConfig(condition_warn_threshold=0.5)
-        report = solve_direct(op, rho=0.0, config=config)
+        # a contiguous gap of 20 at half band: 0 < 1 - ||A|| < 1e-8
+        op = operator_with_rhs(list(range(1, 21)), 0.5, np.ones(20))
+        report = solve_direct(op, rho=0.0)
         assert any("ill-conditioned" in w for w in report.warnings)
         assert np.isfinite(report.y).all()
 
@@ -111,6 +116,15 @@ class TestDirect:
         op = operator_with_rhs([0], 0.25, [np.nan])
         with pytest.raises(SolverError):
             solve_direct(op, rho=0.0)
+
+    def test_nonfinite_matrix_rejected(self):
+        matrix = 0.1 * np.eye(3)
+        matrix[0, 2] = np.nan
+        op = GapOperator(matrix=matrix, order=(0, 1, 2),
+                         omega=BandLimit.from_pi_fraction(0.25), rhs=np.ones(3))
+        for solve in (solve_direct, solve_neumann):
+            with pytest.raises(SolverError, match="non-finite"):
+                solve(op, rho=0.0)
 
     def test_nonfinite_residual_rejected(self):
         # finite system and solution, but the residual's norm overflows: no certificate
@@ -164,6 +178,18 @@ class TestNeumann:
         assert err.value.residual > 0
 
 
+@settings(max_examples=80, deadline=None)
+@given(missing=st.sets(st.integers(-40, 40), min_size=1, max_size=20),
+       frac=st.floats(0.01, 0.99), rho=st.sampled_from([0.0, 0.01, 0.5]),
+       seed=st.integers(0, 2**32 - 1))
+def test_neumann_equals_direct_on_random_masks(missing, frac, rho, seed):
+    a = np.random.default_rng(seed).standard_normal(len(missing))
+    op = operator_with_rhs(sorted(missing), frac, a, window=(-40, 40))
+    assume(1.0 + rho - diagnostics(op).spectral_norm >= 0.05)
+    iterative = solve_neumann(op, rho, SolverConfig(tol=1e-12))
+    assert np.max(np.abs(iterative.y - solve_direct(op, rho).y)) <= 1e-10
+
+
 class TestErrorBound:
     def test_zero_perturbation(self):
         op = operator_with_rhs([0], 0.25, [1.0])
@@ -214,10 +240,7 @@ class TestErrorBound:
 
 class TestSolverConfig:
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            SolverConfig(rho=-1.0)
-        with pytest.raises(ParameterError):
-            SolverConfig(method="lu")
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == ["tol", "max_iter"]
         with pytest.raises(ParameterError):
             SolverConfig(tol=0.0)
         with pytest.raises(ParameterError):

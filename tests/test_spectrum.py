@@ -29,7 +29,6 @@ from bandgap import (
     forecast,
     make_mask,
     recover,
-    truncate_operator,
     with_rhs,
 )
 from bandgap.cli import main
@@ -118,16 +117,6 @@ class TestSpectrumCount:
         copy = with_rhs(op, np.ones(op.size))
         assert eigenvalues(copy) is eigenvalues(op)
         assert counts["eigvalsh"] == 1
-
-    def test_truncation_computes_a_new_spectrum(self, counts):
-        mask = make_mask(IndexWindow(0, 12), range(0, 13))
-        op = assemble_operator(mask, OMEGA)
-        diagnostics(op)
-        trunc = truncate_operator(op, mask, 5)
-        trunc_norm = diagnostics(trunc).spectral_norm
-        assert counts["eigvalsh"] == 2
-        assert trunc_norm == float(np.max(np.abs(EIGVALSH(trunc.matrix))))
-        assert trunc_norm < diagnostics(op).spectral_norm
 
     def test_one_per_gap_in_dummy_sensitivity(self, counts):
         rng = np.random.default_rng(6)
