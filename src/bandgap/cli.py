@@ -301,8 +301,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors as ParameterError (JSON, exit 2); subparsers share the class."""
+
+    def error(self, message):
+        raise ParameterError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="bandgap",
         description="Band-limited recovery of missing samples and short-horizon forecasting.",
     )

@@ -99,8 +99,8 @@ def _forecasts(spec: ForecastSpec, dummies: list[Series | None]) -> list[Forecas
     """The forecast of `spec` with each dummy in turn (None is the zero dummy).
 
     The dummies share the window of `spec.dummy`, so every forecast recovers
-    the same gap on the same window: one operator, one spectrum and one
-    factorization serve them all.
+    the same gap on the same window: one operator, one factorization and
+    one margin serve them all.
     """
     q, n = _validate_spec(spec)
     window = IndexWindow(-q, n)

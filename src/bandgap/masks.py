@@ -136,13 +136,18 @@ def make_mask(window: IndexWindow, missing) -> ObservationMask:
     return ObservationMask(window=window, missing=ordered)
 
 
+def missing_offsets(mask: ObservationMask) -> np.ndarray:
+    """Array offsets of the missing set in canonical order, an (m, ndim) integer array."""
+    coords = np.asarray(mask.missing, dtype=np.int64).reshape(mask.n_missing, mask.window.ndim)
+    return coords - np.asarray(mask.window.lo, dtype=np.int64)
+
+
 def apply_mask(series, mask: ObservationMask):
     """Zero out the missing entries of a series, leaving observed ones unchanged."""
     if series.window != mask.window:
         raise GeometryError("series and mask are defined on different windows")
     values = np.array(series.values, dtype=np.float64, copy=True)
-    for t in mask.missing:
-        values[mask.window.offset_of(t)] = 0.0
+    values[tuple(missing_offsets(mask).T)] = 0.0
     return dataclasses.replace(series, values=values)
 
 

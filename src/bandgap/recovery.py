@@ -6,7 +6,7 @@ the recovered values on the missing set together with spectral and solver
 diagnostics.  Only the missing trace is ever computed; the in-sample
 band-limited approximation on the observed set is never materialized.
 `recover_all` recovers several series that share a mask, a band limit and
-rho against one operator, one spectrum and one factorization.
+rho against one operator and one factorization.
 
 `recover_single_value` is the closed form for a single gap,
 
@@ -90,7 +90,7 @@ def _resolve_rho(problem: RecoveryProblem) -> float:
 
 
 def _recover_pipeline(problems: list[RecoveryProblem]) -> list[RecoverySolution]:
-    """One operator, spectrum and factorization for the shared geometry; one solve per series."""
+    """One operator, factorization and margin for the shared geometry; one solve per series."""
     problem = problems[0]
     mask, omega = problem.mask, problem.omega
     if mask.n_missing == 0:
@@ -103,7 +103,7 @@ def _recover_pipeline(problems: list[RecoveryProblem]) -> list[RecoverySolution]
 
     warnings = () if observed_halfline_exists(mask) else (HALFLINE_WARNING,)
     op = assemble_operator(mask, omega)
-    diag = diagnostics(op)
+    diag = diagnostics(op, rho)
     solutions = []
     for p in problems:
         report = solve_direct(with_rhs(op, assemble_rhs(p.series, mask, omega)), rho)
@@ -130,7 +130,7 @@ def recover(problem: RecoveryProblem) -> RecoverySolution:
 def recover_all(problems: list[RecoveryProblem]) -> list[RecoverySolution]:
     """Recover problems that differ only in their series, in order.
 
-    The gap operator, its spectrum and its factorization depend on the
+    The gap operator, its factorization and its margin depend on the
     mask, the band limit and rho alone, so they are computed once; each
     problem then costs one right-hand side and one solve.  Each solution is
     the one `recover` returns for its problem.

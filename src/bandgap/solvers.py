@@ -2,8 +2,8 @@
 
 For finite missing sets the matrix (1+rho)*I - A is symmetric positive
 definite (its eigenvalues are at least 1 + rho - ||A|| > 0), so the direct
-path uses a Cholesky factorization, which certifies definiteness as a side
-effect; it is the one solve of the recovery pipeline.  The iterative path
+path solves with the operator's Cholesky factor, the same factor its margin
+is read from; it is the one solve of the recovery pipeline.  The iterative path
 realizes the geometric-series expansion of the inverse:
 y_{k+1} = (A y_k + a) / (1+rho), a contraction with factor
 q = ||A||/(1+rho) < 1.  It is kept as an independent cross-check of the
@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg
 
 from .errors import NonConvergenceError, ParameterError, SolverError
-from .operators import GapOperator, diagnostics
+from .operators import GapOperator, cholesky, diagnostics
 
 
 # A margin 1 + rho - ||A|| below this makes a solve warn of ill-conditioning.
@@ -65,11 +64,11 @@ def _validate(op: GapOperator, rho: float) -> np.ndarray:
 
 
 def _margin_and_warnings(op: GapOperator, rho: float) -> tuple[float, list[str]]:
-    norm = diagnostics(op).spectral_norm
-    margin = 1.0 + rho - norm
+    margin = 1.0 + rho - diagnostics(op, rho).spectral_norm
     if margin <= 0:
         raise SolverError(
-            f"system is singular at this rho: 1 + rho - ||A|| = {margin:.3e} <= 0"
+            "system is singular to working precision at this rho: "
+            "1 + rho - ||A|| is at most |M| eps (1 + rho)"
         )
     warnings = []
     if margin < CONDITION_WARN_THRESHOLD:
@@ -89,29 +88,16 @@ def _residual(op: GapOperator, rho: float, y: np.ndarray) -> float:
     return residual
 
 
-def _cholesky(op: GapOperator, rho: float):
-    """Cholesky factor of (1+rho)I - A, computed once per matrix and rho."""
-
-    def factor():
-        system = (1.0 + rho) * np.eye(op.size) - op.matrix
-        try:
-            return linalg.cho_factor(system, overwrite_a=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"positive-definite factorization failed: {exc}") from exc
-
-    return op.derived(("cholesky", rho), factor)
-
-
 def solve_direct(op: GapOperator, rho: float) -> SolveReport:
     """Solve ((1+rho)I - A) y = a by Cholesky factorization.
 
     The factor is kept on the operator, so further right-hand sides for the
-    same matrix and rho (operators made by `with_rhs`) cost two triangular
-    solves each.
+    same matrix and rho (operators made by `with_rhs`) cost two blocked
+    triangular solves each.
     """
     a = _validate(op, rho)
     margin, warnings = _margin_and_warnings(op, rho)
-    y = linalg.cho_solve(_cholesky(op, rho), a, check_finite=False)
+    y = cholesky(op, rho).solve(a)
     return SolveReport(
         y=y,
         residual=_residual(op, rho, y),
@@ -176,8 +162,7 @@ def error_bound(op: GapOperator, rho: float, eta_norm: float) -> float:
         raise ParameterError("perturbation norm must be nonnegative")
     if rho < 0:
         raise ParameterError("rho must be nonnegative")
-    norm = diagnostics(op).spectral_norm
-    margin = 1.0 + rho - norm
+    margin = 1.0 + rho - diagnostics(op, rho).spectral_norm
     if margin <= 0:
         raise SolverError("bound unavailable: 1 + rho <= ||A||")
     return eta_norm / margin

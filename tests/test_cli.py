@@ -160,11 +160,27 @@ class TestRecoverCommand:
         assert {(row["t1"], row["t2"]) for row in doc["values"]} == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     @pytest.mark.parametrize("flag", [["--solver", "neumann"], ["--tol", "1e-13"], ["--max-iter", "10"]])
-    def test_solver_flags_are_rejected(self, series_121, flag):
+    def test_solver_flags_are_rejected(self, series_121, flag, capsys):
         _, path = series_121
+        assert run(["recover", "--input", path, "--missing", "0..3", "--omega", "0.25", *flag]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["category"] == "parameter" and flag[0] in error["message"]
+
+    @pytest.mark.parametrize("argv, phrase", [
+        (["--missing", "0..3", "--omega", "0.25"], "required: --input"),
+        (["--input", "s.csv", "--missing", "0..3", "--omega", "abc"], "invalid float value"),
+    ])
+    def test_argument_errors_are_json(self, argv, phrase, capsys):
+        assert run(["recover", *argv]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["category"] == "parameter" and phrase in error["message"]
+
+    @pytest.mark.parametrize("argv", [["--version"], ["recover", "--help"]])
+    def test_help_and_version_exit_zero(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            run(["recover", "--input", path, "--missing", "0..3", "--omega", "0.25", *flag])
-        assert exc.value.code == 2
+            run(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
 
 
 class TestForecastCommand:
@@ -249,6 +265,14 @@ class TestDiagnoseCommand:
         assert got[-1] == pytest.approx(0.5 * (1 + c * math.sqrt(2)), rel=1e-12)
         assert got[1] == pytest.approx(0.5, rel=1e-12)
         assert got[0] == pytest.approx(0.5 * (1 - c * math.sqrt(2)), rel=1e-12)
+
+    def test_gap_size_sweep_reports_no_negative_margin(self, tmp_path):
+        out = tmp_path / "sweep.json"
+        assert run(["diagnose", "--omega", "0.9", "--gap-sizes", "1..128", "--output", str(out)]) == 0
+        rows = json.loads(out.read_text())["sweep"]
+        assert [row["gap_size"] for row in rows] == list(range(1, 129))
+        assert all(row["min_eig_I_minus_A"] >= 0.0 for row in rows)
+        assert rows[-1]["min_eig_I_minus_A"] == 0.0  # below working precision
 
     def test_gap_size_sweep_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"

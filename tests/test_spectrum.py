@@ -1,15 +1,17 @@
-"""One spectrum and one Cholesky factor per gap matrix, reused by every caller.
+"""One Cholesky factor per gap matrix and rho, reused by every caller.
 
-`np.linalg.eigvalsh` and `scipy.linalg.cho_factor` are wrapped in counters
-so each test can state how many decompositions a call makes; every reused
-result is compared bit for bit with one computed afresh.
+`np.linalg.eigvalsh` and the blocked Cholesky factorization are wrapped in
+counters so each test can state how many decompositions a call makes: the
+recovery path takes its margin from the factor and runs no `eigvalsh`.
+Every reused result is compared bit for bit with one computed afresh.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bandgap import (
     BandLimit,
@@ -31,6 +33,7 @@ from bandgap import (
     recover,
     with_rhs,
 )
+from bandgap import operators
 from bandgap.cli import main
 from bandgap.lab import ExperimentConfig, run_experiment
 from bandgap.operators import MAX_MISSING
@@ -39,13 +42,13 @@ from bandgap.solvers import error_bound, solve_direct, solve_neumann
 
 OMEGA = BandLimit.from_pi_fraction(0.25)
 EIGVALSH = np.linalg.eigvalsh
-CHO_FACTOR = scipy.linalg.cho_factor
+FACTOR = operators._blocked_cholesky
 
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Number of eigvalsh and cho_factor calls made since the test started."""
-    calls = {"eigvalsh": 0, "cho_factor": 0}
+    """Number of eigvalsh calls and Cholesky factorizations made since the test started."""
+    calls = {"eigvalsh": 0, "factor": 0}
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
@@ -54,7 +57,7 @@ def counts(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", EIGVALSH))
-    monkeypatch.setattr(scipy.linalg, "cho_factor", counting("cho_factor", CHO_FACTOR))
+    monkeypatch.setattr(operators, "_blocked_cholesky", counting("factor", FACTOR))
     return calls
 
 
@@ -75,7 +78,7 @@ class TestSpectrumCount:
     def test_one_per_recover_1d(self, counts):
         problem = random_problem(1)
         solution = recover(problem)
-        assert counts == {"eigvalsh": 1, "cho_factor": 1}
+        assert counts == {"eigvalsh": 0, "factor": 1}
         assert np.array_equal(solution.vector(), fresh_solve(problem))
 
     def test_one_per_recover_2d(self, counts):
@@ -85,7 +88,7 @@ class TestSpectrumCount:
             series=Series(window=window, values=np.random.default_rng(2).standard_normal((12, 12))),
             mask=make_mask(window, missing), omega=BandLimit.from_pi_fraction((0.25, 0.4)), rho=0.0)
         solution = recover(problem)
-        assert counts["eigvalsh"] == 1
+        assert counts == {"eigvalsh": 0, "factor": 1}
         assert np.array_equal(solution.vector(), fresh_solve(problem, problem.omega))
 
     def test_one_per_recover_on_a_single_row(self, counts):
@@ -95,19 +98,22 @@ class TestSpectrumCount:
             mask=make_mask(window, [(3, 0), (3, 1), (3, 5)]),
             omega=BandLimit.from_pi_fraction((0.5, 0.25)), rho=0.0)
         recover(problem)
-        assert counts["eigvalsh"] == 1
+        assert counts == {"eigvalsh": 0, "factor": 1}
 
     def test_with_rhs_copies_share_spectrum_and_factor(self, counts):
         problem = random_problem(4)
         op = assemble_operator(problem.mask, OMEGA)
         norm = diagnostics(op).spectral_norm
-        assert counts["eigvalsh"] == 1
+        assert counts == {"eigvalsh": 0, "factor": 1}
         rhs = assemble_rhs(problem.series, problem.mask, OMEGA)
         first = solve_direct(with_rhs(op, rhs), 0.0)
         second = solve_direct(with_rhs(op, 2.0 * rhs), 0.0)
-        solve_neumann(with_rhs(op, rhs), 0.1)
         bound = error_bound(with_rhs(op, rhs), 0.0, 1.0)
-        assert counts == {"eigvalsh": 1, "cho_factor": 1}
+        assert counts == {"eigvalsh": 0, "factor": 1}
+        solve_neumann(with_rhs(op, rhs), 0.1)
+        solve_neumann(with_rhs(op, 2.0 * rhs), 0.1)
+        assert counts == {"eigvalsh": 0, "factor": 2}  # one factor per rho
+        assert diagnostics(with_rhs(op, rhs), 0.1) is diagnostics(op, 0.1)
         assert bound == 1.0 / (1.0 + 0.0 - norm)
         assert np.array_equal(first.y, fresh_solve(problem))
         assert np.array_equal(second.y, 2.0 * first.y)
@@ -125,7 +131,7 @@ class TestSpectrumCount:
                    for _ in range(4)]
         gaps = [4, 8, 12]
         report = dummy_sensitivity(past, 3, dummies, gaps, OMEGA)
-        assert counts == {"eigvalsh": len(gaps), "cho_factor": len(gaps)}
+        assert counts == {"eigvalsh": 0, "factor": len(gaps)}
         for m, distance in zip(gaps, report.distances):
             tail = IndexWindow(m + 1, 60)
             one_by_one = [forecast(ForecastSpec(past=past, horizon=3, gap=m, omega=OMEGA,
@@ -138,7 +144,7 @@ class TestSpectrumCount:
         config = ExperimentConfig(sweep="noise", values=(0.1,), seeds=(3, 4), omega=0.25 * np.pi,
                                   synth_band=0.2 * np.pi, missing="1..5", window=60, rho=0.0)
         report = run_experiment(config)
-        assert counts == {"eigvalsh": 2, "cho_factor": 2}
+        assert counts == {"eigvalsh": 0, "factor": 2}
         op = assemble_operator(make_mask(IndexWindow(-60, 60), range(1, 6)), OMEGA)
         for row in report["rows"]:
             assert row["perturbation_bound"] == error_bound(op, 0.0, row["eta_norm"])
@@ -146,10 +152,55 @@ class TestSpectrumCount:
     def test_one_per_cli_diagnose(self, counts, tmp_path):
         assert main(["diagnose", "--missing", "0..5", "--omega", "0.5",
                      "--output", str(tmp_path / "d.json")]) == 0
-        assert counts["eigvalsh"] == 1
+        assert counts == {"eigvalsh": 1, "factor": 1}
         assert main(["diagnose", "--gap-sizes", "1..4", "--omega", "0.5",
                      "--output", str(tmp_path / "s.json")]) == 0
-        assert counts["eigvalsh"] == 1 + 4
+        assert counts == {"eigvalsh": 1, "factor": 1 + 4}
+
+
+FRACTIONS = st.floats(0.05, 0.95)
+RHOS = st.sampled_from([0.0, 1e-4, 0.1])
+
+
+@st.composite
+def masks_1d(draw):
+    window = IndexWindow(-100, 100)
+    return make_mask(window, draw(st.sets(st.integers(-100, 100), min_size=1, max_size=80)))
+
+
+@st.composite
+def masks_2d(draw):
+    """Scattered cells, or equal square blocks, whose spectra come in clusters."""
+    side = draw(st.integers(1, 4))
+    corners = st.tuples(st.integers(0, 39 - side), st.integers(0, 39 - side))
+    missing = {(r + i, c + j) for r, c in draw(st.sets(corners, min_size=1, max_size=80 // side**2))
+               for i in range(side) for j in range(side)}
+    return make_mask(IndexWindow((0, 0), (39, 39)), missing)
+
+
+class TestLanczosMargin:
+    """The margin from the factor against the full spectrum, an independent oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(masks_1d(), masks_2d()), FRACTIONS, FRACTIONS, RHOS)
+    @example(make_mask(IndexWindow((0, 0), (39, 39)), [(r, c) for r in range(4) for c in range(6)]),
+             0.125, 0.9375, 0.0)  # a tolerance of 1e-10 misses ||A|| here by 3e-11
+    def test_norm_matches_eigvalsh_above_the_floor(self, mask, frac, frac2, rho):
+        omega = BandLimit.from_pi_fraction(frac if mask.window.ndim == 1 else (frac, frac2))
+        op = assemble_operator(mask, omega)
+        top = float(EIGVALSH(op.matrix)[-1])
+        diag = diagnostics(op, rho)
+        assert diag.min_eig_I_minus_A >= 0.0
+        if 1.0 + rho - top > op.size * np.finfo(np.float64).eps * (1.0 + rho):
+            assert abs(diag.spectral_norm - top) <= 1e-13
+
+    @settings(max_examples=150, deadline=None)
+    @given(masks_1d(), FRACTIONS)
+    def test_margin_is_the_bottom_of_the_complementary_band(self, mask, frac):
+        """I - A_w = D A_(pi-w) D exactly, with D = diag((-1)^t_i), in 1D."""
+        margin = diagnostics(assemble_operator(mask, BandLimit(frac * np.pi))).min_eig_I_minus_A
+        complement = assemble_operator(mask, BandLimit((1.0 - frac) * np.pi))
+        assert abs(margin - float(EIGVALSH(complement.matrix)[0])) <= 1e-13
 
 
 class TestCachedResults:
