@@ -23,6 +23,8 @@ import re
 import sys
 from importlib import resources
 
+import numpy as np
+
 from . import __version__
 from .errors import GeometryError, ParameterError, SolverError
 from .forecast import ForecastSpec, forecast
@@ -168,20 +170,16 @@ def cmd_forecast(args) -> int:
     doc["full_gap"] = [
         {"t": t, "value": float(v)} for t, v in enumerate(result.full_gap, start=1)
     ]
+    dummy_values = np.zeros(config["n"] - args.gap) if dummy is None else dummy.values
     plot_rows = []
-    for t in past.window.indices():
-        plot_rows.append({"t": t, "value": past.value_at(t), "series": "past", "accepted": ""})
-    if dummy is not None:
-        for t in dummy.window.indices():
-            plot_rows.append({"t": t, "value": dummy.value_at(t), "series": "dummy", "accepted": ""})
-    else:
-        for t in range(args.gap + 1, config["n"] + 1):
-            plot_rows.append({"t": t, "value": 0.0, "series": "dummy", "accepted": ""})
-    for t, v in enumerate(result.full_gap, start=1):
-        plot_rows.append({
-            "t": t, "value": float(v), "series": "forecast",
-            "accepted": int(t <= args.horizon),
-        })
+    for name, start, values in (("past", past.window.lo, past.values),
+                                ("dummy", args.gap + 1, dummy_values),
+                                ("forecast", 1, result.full_gap)):
+        plot_rows.extend(
+            {"t": t, "value": v, "series": name,
+             "accepted": int(t <= args.horizon) if name == "forecast" else ""}
+            for t, v in enumerate(values.tolist(), start=start)
+        )
     doc["plot_data"] = plot_rows
     doc["diagnostics"] = {
         "residual": report.residual,
@@ -200,25 +198,12 @@ def cmd_forecast(args) -> int:
 # diagnose
 # ---------------------------------------------------------------------------
 
-def _parse_window(text: str | None, missing) -> IndexWindow:
-    if text is not None:
-        lo_s, hi_s = text.split("..", maxsplit=1)
-        return IndexWindow(int(lo_s), int(hi_s))
-    if isinstance(missing[0], tuple):
-        return IndexWindow(
-            (min(t[0] for t in missing), min(t[1] for t in missing)),
-            (max(t[0] for t in missing), max(t[1] for t in missing)),
-        )
-    return IndexWindow(min(missing), max(missing))
-
-
 def cmd_diagnose(args) -> int:
     omega = _omega_from_fraction(args.omega, args.omega2)
     config = {
         "missing": args.missing,
         "omega": args.omega,
         "omega2": args.omega2,
-        "window": args.window,
         "gap_sizes": args.gap_sizes,
     }
     doc = _base_doc("diagnose", config)
@@ -241,7 +226,8 @@ def cmd_diagnose(args) -> int:
     missing = parse_missing_spec(args.missing)
     if not missing:
         raise GeometryError("empty missing set")
-    mask = make_mask(_parse_window(args.window, missing), missing)
+    coords = np.asarray(missing)
+    mask = make_mask(IndexWindow(coords.min(axis=0), coords.max(axis=0)), missing)
     op = assemble_operator(mask, omega)
     diag = diagnostics(op)
     spectrum = [float(v) for v in eigenvalues(op)]
@@ -340,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--missing", default="", help="missing-set spec")
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--omega2", type=float, default=None)
-    p.add_argument("--window", default=None, help='window "lo..hi" (default: bounding box)')
     p.add_argument("--gap-sizes", default=None, help='sweep contiguous gaps, e.g. "1..20"')
     _add_common(p)
     p.set_defaults(func=cmd_diagnose)
@@ -358,7 +343,7 @@ def _error(category: str, exc: Exception) -> None:
 
 
 # Options whose value is an index spec; a spec may start with "-" ("-5..10").
-_SPEC_OPTIONS = ("--missing", "--window", "--gap-sizes")
+_SPEC_OPTIONS = ("--missing", "--gap-sizes")
 
 
 def _attach_spec_values(argv: list[str]) -> list[str]:

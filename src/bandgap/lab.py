@@ -133,8 +133,7 @@ def add_noise(series: Series, sigma: float, seed: int | None, mask: ObservationM
     rng = np.random.default_rng(seed)
     eta = sigma * rng.standard_normal(series.window.shape)
     if mask is not None:
-        for t in mask.missing:
-            eta[series.window.offset_of(t)] = 0.0
+        eta[tuple(mask.offsets.T)] = 0.0
     noisy = Series(window=series.window, values=series.values + eta)
     return NoisySeries(series=noisy, eta_norm=float(np.linalg.norm(eta)), sigma=sigma, seed=seed)
 
@@ -346,7 +345,7 @@ def _run_trial(config: ExperimentConfig, value, seed: int) -> dict:
     spec, _ = _trial_signal(synth_band, window, seed)
     series = gen_bandlimited(spec)
     truth = sinc_mixture_values(synth_band, spec.centers, spec.amplitudes,
-                                np.array([t for t in mask.missing]))
+                                np.array(mask.missing))
 
     sigma = float(value) if config.sweep == "noise" else config.sigma
     row = {

@@ -12,8 +12,11 @@ gap operator everywhere downstream.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,11 +24,13 @@ from .errors import GeometryError, ParameterError
 
 Index = int | tuple[int, int]
 
+# Largest window (in samples): 16x a 512 x 512 grid and over 40x a
+# 10^5-sample series.  A window is checked against it when it is made,
+# before anything of its size is allocated.
+MAX_WINDOW_SIZE = 1 << 22
 
-def _index_ndim(t) -> int:
-    if isinstance(t, tuple):
-        return len(t)
-    return 1
+# Largest missing set recovered: its gap matrix takes 4096^2 doubles = 128 MiB.
+MAX_MISSING = 4096
 
 
 def _as_index(t) -> Index:
@@ -51,11 +56,13 @@ class IndexWindow:
         lo, hi = _as_index(self.lo), _as_index(self.hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        if _index_ndim(lo) != _index_ndim(hi):
+        if len(self._lo_axes()) != len(self._hi_axes()):
             raise GeometryError("window bounds must have the same dimensionality")
         for a, b in zip(self._lo_axes(), self._hi_axes()):
             if a > b:
                 raise GeometryError(f"window bound {a} exceeds {b}; window must be nonempty")
+        if self.size > MAX_WINDOW_SIZE:
+            raise GeometryError(f"window of shape {self.shape} exceeds {MAX_WINDOW_SIZE} samples")
 
     def _lo_axes(self) -> tuple[int, ...]:
         return self.lo if isinstance(self.lo, tuple) else (self.lo,)
@@ -65,7 +72,7 @@ class IndexWindow:
 
     @property
     def ndim(self) -> int:
-        return _index_ndim(self.lo)
+        return len(self._lo_axes())
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -73,10 +80,7 @@ class IndexWindow:
 
     @property
     def size(self) -> int:
-        n = 1
-        for s in self.shape:
-            n *= s
-        return n
+        return math.prod(self.shape)
 
     def contains(self, t: Index) -> bool:
         t_axes = t if isinstance(t, tuple) else (t,)
@@ -86,10 +90,7 @@ class IndexWindow:
 
     def indices(self) -> list[Index]:
         """All window indices in lexicographic (row-major) order."""
-        if self.ndim == 1:
-            return list(range(self.lo, self.hi + 1))
-        (l1, l2), (h1, h2) = self.lo, self.hi
-        return [(i, j) for i in range(l1, h1 + 1) for j in range(l2, h2 + 1)]
+        return list(as_indices(np.argwhere(np.ones(self.shape, dtype=bool)) + np.asarray(self.lo)))
 
     def offset_of(self, t: Index) -> tuple[int, ...]:
         """Array offset of an in-window index."""
@@ -116,30 +117,56 @@ class ObservationMask:
     def n_observed(self) -> int:
         return self.window.size - len(self.missing)
 
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Array offsets of the missing set in canonical order: a read-only (m, ndim) int64 array."""
+        offsets = np.array(self.missing, dtype=np.int64).reshape(self.n_missing, self.window.ndim)
+        offsets -= np.asarray(self.window.lo)
+        offsets.flags.writeable = False
+        return offsets
+
+
+def as_indices(coords: np.ndarray) -> tuple[Index, ...]:
+    """Rows of an (m, ndim) index array as plain ints (1D) or pairs of ints (2D)."""
+    rows = coords.tolist()
+    return tuple(r for (r,) in rows) if coords.shape[1] == 1 else tuple(map(tuple, rows))
+
 
 def make_mask(window: IndexWindow, missing) -> ObservationMask:
     """Validate a missing-index collection against a window and canonicalize it.
 
-    Raises GeometryError for out-of-window indices, duplicates, or indices
-    whose dimensionality differs from the window's.
+    Raises GeometryError for indices whose dimensionality differs from the
+    window's, out-of-window indices (naming the first in input order) and
+    duplicates (naming the smallest).  Non-integral indices are truncated.
     """
-    items = [_as_index(t) for t in missing]
-    for t in items:
-        if _index_ndim(t) != window.ndim:
-            raise GeometryError(f"index {t!r} has wrong dimensionality for a {window.ndim}D window")
-        if not window.contains(t):
-            raise GeometryError(f"missing index {t!r} lies outside window [{window.lo}, {window.hi}]")
-    ordered = tuple(sorted(items, key=lambda t: t if isinstance(t, tuple) else (t,)))
-    for a, b in zip(ordered, ordered[1:]):
-        if a == b:
-            raise GeometryError(f"duplicate missing index {a!r}")
-    return ObservationMask(window=window, missing=ordered)
-
-
-def missing_offsets(mask: ObservationMask) -> np.ndarray:
-    """Array offsets of the missing set in canonical order, an (m, ndim) integer array."""
-    coords = np.asarray(mask.missing, dtype=np.int64).reshape(mask.n_missing, mask.window.ndim)
-    return coords - np.asarray(mask.window.lo, dtype=np.int64)
+    items = list(missing)
+    try:
+        coords = np.asarray(items, dtype=np.int64)
+    except OverflowError as exc:
+        raise GeometryError(f"a missing index lies outside window [{window.lo}, {window.hi}]") from exc
+    except ValueError as exc:
+        raise GeometryError(f"missing indices must all be {window.ndim}D: {exc}") from exc
+    if not items:
+        coords = coords.reshape(0, window.ndim)
+    elif coords.ndim == 1:
+        coords = coords[:, None]
+    if coords.ndim != 2 or coords.shape[1] != window.ndim:
+        raise GeometryError(f"index {items[0]!r} has wrong dimensionality for a {window.ndim}D window")
+    lo = np.asarray(window.lo)
+    outside = np.flatnonzero(np.any((coords < lo) | (coords > np.asarray(window.hi)), axis=1))
+    if outside.size:
+        (t,) = as_indices(coords[outside[:1]])
+        raise GeometryError(f"missing index {t!r} lies outside window [{window.lo}, {window.hi}]")
+    coords = coords[np.lexsort(coords.T[::-1])]
+    ordered = as_indices(coords)
+    repeats = np.flatnonzero(np.all(coords[1:] == coords[:-1], axis=1))
+    if repeats.size:
+        raise GeometryError(f"duplicate missing index {ordered[repeats[0]]!r}")
+    coords -= lo
+    coords.flags.writeable = False
+    mask = ObservationMask(window=window, missing=ordered)
+    mask.__dict__["offsets"] = coords  # the cached property, already at hand
+    return mask
 
 
 def apply_mask(series, mask: ObservationMask):
@@ -147,7 +174,7 @@ def apply_mask(series, mask: ObservationMask):
     if series.window != mask.window:
         raise GeometryError("series and mask are defined on different windows")
     values = np.array(series.values, dtype=np.float64, copy=True)
-    values[tuple(missing_offsets(mask).T)] = 0.0
+    values[tuple(mask.offsets.T)] = 0.0
     return dataclasses.replace(series, values=values)
 
 
@@ -158,21 +185,11 @@ def observed_halfline_exists(mask: ObservationMask) -> bool:
     window's extreme slice on that side carries no missing index; a free side
     then contributes the half-line {t <= s} (or {t >= s}).  Uniqueness of the
     band-limited extension is only guaranteed under this geometry, so the
-    recovery front end warns when no side is free.
+    recovery front end warns when no side is free.  An empty mask leaves
+    every side free.
     """
-    if mask.n_missing == 0:
-        return True
-    if mask.window.ndim == 1:
-        gaps = set(mask.missing)
-        return (mask.window.lo not in gaps) or (mask.window.hi not in gaps)
-    (l1, l2), (h1, h2) = mask.window.lo, mask.window.hi
-    coords = np.array(mask.missing, dtype=np.int64)
-    for axis, (lo, hi) in enumerate([(l1, h1), (l2, h2)]):
-        if not np.any(coords[:, axis] == lo):
-            return True
-        if not np.any(coords[:, axis] == hi):
-            return True
-    return False
+    touched = [(mask.offsets == side).any(axis=0) for side in (0, np.subtract(mask.window.shape, 1))]
+    return not np.all(touched)
 
 
 _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
@@ -200,18 +217,18 @@ def _split_spec(text: str) -> list[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
-def _parse_1d_token(token: str) -> list[int]:
+def _parse_1d_token(token: str) -> range:
     token = token.strip()
     if token.startswith("(") and token.endswith(")"):
         token = token[1:-1].strip()
     if _SINGLE_RE.match(token):
-        return [int(token)]
+        return range(int(token), int(token) + 1)
     m = _RANGE_RE.match(token)
     if m:
         a, b = int(m.group(1)), int(m.group(2))
         if a > b:
             raise ParameterError(f"descending range {token!r} in missing spec")
-        return list(range(a, b + 1))
+        return range(a, b + 1)
     raise ParameterError(f"cannot parse missing-spec token {token!r}")
 
 
@@ -220,19 +237,20 @@ def parse_missing_spec(text: str) -> list[Index]:
 
     1D: comma-separated singletons and inclusive ranges ("0", "1..12",
     "(-3..-1),(5)").  2D: blocks "r0..r1 x c0..c1" (also comma-separated);
-    a block expands row-major.
+    a block expands row-major.  A spec of more than MAX_MISSING indices is
+    a GeometryError, raised before it is expanded.
     """
     out: list[Index] = []
+    dims = set()
     for token in _split_spec(text):
         inner = token[1:-1].strip() if token.startswith("(") and token.endswith(")") else token
-        if re.search(r"\bx\b", inner):
-            rows_part, cols_part = (p.strip() for p in re.split(r"\bx\b", inner, maxsplit=1))
-            rows = _parse_1d_token(rows_part)
-            cols = _parse_1d_token(cols_part)
-            out.extend((r, c) for r in rows for c in cols)
-        else:
-            out.extend(_parse_1d_token(token))
-    dims = {_index_ndim(t) for t in out}
+        parts = re.split(r"\bx\b", inner, maxsplit=1)
+        axes = [_parse_1d_token(p) for p in parts] if len(parts) == 2 else [_parse_1d_token(token)]
+        dims.add(len(axes))
+        if len(out) + math.prod(r.stop - r.start for r in axes) > MAX_MISSING:
+            raise GeometryError(f"missing spec lists more than the {MAX_MISSING} samples "
+                                "that can be recovered (the gap matrix is dense)")
+        out.extend(itertools.product(*axes) if len(axes) == 2 else axes[0])
     if len(dims) > 1:
         raise ParameterError(f"missing spec {text!r} mixes 1D and 2D indices")
     return out

@@ -31,12 +31,8 @@ import numpy as np
 
 from .errors import GeometryError, ParameterError
 from .kernel import BandLimit, kernel_profile, lowpass_filter
-from .masks import Index, ObservationMask, apply_mask, missing_offsets
+from .masks import MAX_MISSING, Index, ObservationMask, apply_mask
 from .series import Series
-
-
-# Largest missing set assembled: A then takes 4096^2 doubles = 128 MiB.
-MAX_MISSING = 4096
 
 # Entries of A filled per block of rows; the block's lag and kernel-value
 # temporaries then take 512 KiB each, whatever the size of A.
@@ -149,7 +145,7 @@ def assemble_operator(mask: ObservationMask, omega: BandLimit) -> GapOperator:
             f"missing set has {mask.n_missing} samples; at most {MAX_MISSING} can be "
             f"recovered (the gap matrix is dense)"
         )
-    coords = missing_offsets(mask)
+    coords = mask.offsets
     m = len(coords)
     tables = [kernel_profile(w, np.arange(np.ptp(coords[:, axis]) + 1))
               for axis, w in enumerate(omega.axes)]
@@ -159,7 +155,7 @@ def assemble_operator(mask: ObservationMask, omega: BandLimit) -> GapOperator:
         rows = slice(start, start + step)
         for table, t in zip(tables, coords.T):
             matrix[rows] *= table[np.abs(t[rows, None] - t[None, :])]
-    return GapOperator(matrix=matrix, order=tuple(mask.missing), omega=omega)
+    return GapOperator(matrix=matrix, order=mask.missing, omega=omega)
 
 
 def assemble_rhs(series: Series, mask: ObservationMask, omega: BandLimit) -> np.ndarray:
@@ -176,10 +172,9 @@ def assemble_rhs(series: Series, mask: ObservationMask, omega: BandLimit) -> np.
     if series.window != mask.window:
         raise GeometryError("series and mask are defined on different windows")
     filtered = apply_mask(series, mask).values
-    offsets = missing_offsets(mask)
     picks = []
     for axis, w in enumerate(omega.axes):
-        kept, pick = np.unique(offsets[:, axis], return_inverse=True)
+        kept, pick = np.unique(mask.offsets[:, axis], return_inverse=True)
         filtered = lowpass_filter(w, filtered, kept, axis=axis)
         picks.append(pick)
     return filtered[tuple(picks)]

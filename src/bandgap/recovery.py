@@ -174,7 +174,7 @@ def _collapse_to_1d(problem: RecoveryProblem, squeeze_axis: int) -> RecoveryProb
     values = problem.series.values.reshape(window.shape)
     return RecoveryProblem(
         series=Series(window=sub_window, values=values[0, :] if squeeze_axis == 0 else values[:, 0]),
-        mask=make_mask(sub_window, [t[keep_axis] for t in problem.mask.missing]),
+        mask=make_mask(sub_window, problem.mask.offsets[:, keep_axis] + sub_window.lo),
         omega=BandLimit(problem.omega.axes[keep_axis]),
         rho=problem.rho,
     )

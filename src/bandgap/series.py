@@ -9,18 +9,15 @@ masked series and reading it back reproduces both values and gaps.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GeometryError, ParameterError
-from .masks import Index, IndexWindow, ObservationMask
+from .masks import MAX_WINDOW_SIZE, Index, IndexWindow, ObservationMask, as_indices
 
-# Largest window (in samples) a series file may span: 16x a 512 x 512 grid
-# and over 40x a 10^5-sample series.  The bounding box of the file's
-# indices is checked against it before the window is allocated.
-MAX_WINDOW_SIZE = 1 << 22
+# The header of a series file, by dimensionality.
+_HEADERS = (["t", "value"], ["t1", "t2", "value"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,11 +62,9 @@ class Series:
 
 def _parse_header(fields: list[str]) -> int:
     fields = [f.strip().lower() for f in fields]
-    if fields == ["t", "value"]:
-        return 1
-    if fields == ["t1", "t2", "value"]:
-        return 2
-    raise ParameterError(f"unrecognized series header {fields!r}; expected t,value or t1,t2,value")
+    if fields not in _HEADERS:
+        raise ParameterError(f"unrecognized series header {fields!r}; expected t,value or t1,t2,value")
+    return _HEADERS.index(fields) + 1
 
 
 def read_series_csv(path) -> tuple[Series, list[Index]]:
@@ -78,74 +73,69 @@ def read_series_csv(path) -> tuple[Series, list[Index]]:
     The window is the bounding box of the indices present in the file; any
     in-window index with no row is reported as absent (a gap) and its value
     is zero in the returned series.  Rows are parsed one by one for their
-    error messages; the window, duplicates and absent indices are worked
-    out on arrays.  A window above MAX_WINDOW_SIZE entries is rejected
-    before anything of its size is allocated.
+    error messages, which name the row's line in the file; the window,
+    duplicates and absent indices are worked out on arrays.  A window above
+    MAX_WINDOW_SIZE entries is rejected before anything of its size is
+    allocated.
     """
-    with open(path, "r", newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        rows = [r for r in reader if r and not r[0].lstrip().startswith("#")]
-    if not rows:
-        raise ParameterError(f"series file {path} is empty")
-    ndim = _parse_header(rows[0])
     idx: list[int] = []
     vals: list[float] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != ndim + 1:
-            raise ParameterError(f"{path}:{lineno}: expected {ndim + 1} fields, got {len(row)}")
-        try:
-            idx.extend(map(int, row[:ndim]))
-            vals.append(float(row[ndim]))
-        except ValueError as exc:
-            raise ParameterError(f"{path}:{lineno}: {exc}") from exc
+    lines: list[int] = []
+    with open(path, "r", newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        rows = (r for r in reader if r and not r[0].lstrip().startswith("#"))
+        header = next(rows, None)
+        if header is None:
+            raise ParameterError(f"series file {path} is empty")
+        ndim = _parse_header(header)
+        for row in rows:
+            lines.append(reader.line_num)
+            if len(row) != ndim + 1:
+                raise ParameterError(f"{path}:{lines[-1]}: expected {ndim + 1} fields, got {len(row)}")
+            try:
+                idx.extend(map(int, row[:ndim]))
+                vals.append(float(row[ndim]))
+            except ValueError as exc:
+                raise ParameterError(f"{path}:{lines[-1]}: {exc}") from exc
     if not vals:
         raise ParameterError(f"series file {path} has no data rows")
     values = np.array(vals)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        raise ParameterError(f"{path}:{bad[0] + 2}: non-finite sample {rows[bad[0] + 1][ndim]!r}")
+        raise ParameterError(f"{path}:{lines[bad[0]]}: non-finite sample {str(values[bad[0]])!r}")
     try:
         coords = np.array(idx, dtype=np.int64).reshape(-1, ndim)
     except OverflowError as exc:
         raise GeometryError(f"{path}: index does not fit in 64 bits") from exc
-    lo, hi = coords.min(axis=0), coords.max(axis=0)
-    shape = tuple(int(b) - int(a) + 1 for a, b in zip(lo, hi))
-    if math.prod(shape) > MAX_WINDOW_SIZE:
-        raise GeometryError(
-            f"{path}: index bounding box {shape} exceeds {MAX_WINDOW_SIZE} samples"
-        )
-    flat = np.ravel_multi_index(tuple((coords - lo).T), shape)
+    lo = coords.min(axis=0)
+    try:
+        window = IndexWindow(lo, coords.max(axis=0))
+    except GeometryError as exc:
+        raise GeometryError(f"{path}: {exc}") from exc
+    flat = np.ravel_multi_index(tuple((coords - lo).T), window.shape)
     order = np.argsort(flat, kind="stable")
     repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
     if repeats.size:
         row = int(repeats.min())
-        t = int(coords[row, 0]) if ndim == 1 else tuple(int(v) for v in coords[row])
-        raise ParameterError(f"{path}:{row + 2}: duplicate index {t!r}")
-    window = IndexWindow(lo, hi)
-    filled = np.zeros(math.prod(shape))
+        (t,) = as_indices(coords[row:row + 1])
+        raise ParameterError(f"{path}:{lines[row]}: duplicate index {t!r}")
+    filled = np.zeros(window.size)
     filled[flat] = values
     present = np.zeros(filled.size, dtype=bool)
     present[flat] = True
-    gaps = np.unravel_index(np.flatnonzero(~present), shape)
-    cols = [(g + a).tolist() for g, a in zip(gaps, lo)]
-    absent = cols[0] if ndim == 1 else list(zip(*cols))
-    return Series(window=window, values=filled.reshape(shape)), absent
+    absent = list(as_indices(np.argwhere(~present.reshape(window.shape)) + lo))
+    return Series(window=window, values=filled.reshape(window.shape)), absent
 
 
 def write_series_csv(series: Series, path, mask: ObservationMask | None = None) -> None:
     """Write a series; with a mask, missing entries are omitted (kept absent)."""
-    skip = set(mask.missing) if mask is not None else set()
     if mask is not None and mask.window != series.window:
         raise GeometryError("mask and series windows differ")
+    keep = np.ones(series.window.shape, dtype=bool)
+    if mask is not None:
+        keep[tuple(mask.offsets.T)] = False
+    index = np.argwhere(keep) + np.asarray(series.window.lo)
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        if series.ndim == 1:
-            writer.writerow(["t", "value"])
-            for t in series.window.indices():
-                if t not in skip:
-                    writer.writerow([t, repr(series.value_at(t))])
-        else:
-            writer.writerow(["t1", "t2", "value"])
-            for t in series.window.indices():
-                if t not in skip:
-                    writer.writerow([t[0], t[1], repr(series.value_at(t))])
+        writer.writerow(_HEADERS[series.ndim - 1])
+        writer.writerows(t + [repr(v)] for t, v in zip(index.tolist(), series.values[keep].tolist()))

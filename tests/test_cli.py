@@ -3,12 +3,14 @@
 import argparse
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bandgap import BandLimit, IndexWindow, Series, SolverError, recover_single_value
 from bandgap.cli import _emit, main
+from bandgap.masks import MAX_MISSING, MAX_WINDOW_SIZE
 from bandgap.series import write_series_csv
 
 
@@ -24,6 +26,17 @@ def series_121(tmp_path):
 
 def run(argv):
     return main(argv)
+
+
+def run_traced(argv, capsys):
+    """Exit code, JSON error and peak traced allocation of one CLI call."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, json.loads(capsys.readouterr().err)["error"], peak
 
 
 class TestRecoverCommand:
@@ -108,6 +121,14 @@ class TestRecoverCommand:
         args = argparse.Namespace(format="json", output=None)
         with pytest.raises(SolverError, match="non-finite"):
             _emit({"version": "0", "config": {}, "residual": math.inf}, args, [], [])
+
+    def test_oversize_missing_spec_is_refused_before_expansion(self, series_121, capsys):
+        _, path = series_121
+        code, error, peak = run_traced(["recover", "--input", path, "--missing", "1..300000000",
+                                        "--omega", "0.25"], capsys)
+        assert code == 3 and error["category"] == "geometry"
+        assert str(MAX_MISSING) in error["message"]
+        assert peak < 16 * 2**20
 
     def test_absent_rows_merge_with_listed_missing(self, tmp_path):
         w = IndexWindow(0, 40)
@@ -224,6 +245,15 @@ class TestForecastCommand:
                     if row["series"] == "forecast" and row["accepted"] == 1]
         assert [row["t"] for row in accepted] == [1, 2]
 
+    def test_oversize_window_is_geometry_error(self, tmp_path, capsys):
+        path = tmp_path / "past.csv"
+        write_series_csv(Series.zeros(IndexWindow(-60, 0)), path)
+        code, error, peak = run_traced(["forecast", "--input", str(path), "--n", "2000000000"],
+                                       capsys)
+        assert code == 3 and error["category"] == "geometry"
+        assert str(MAX_WINDOW_SIZE) in error["message"]
+        assert peak < 16 * 2**20
+
     def test_horizon_not_below_gap_is_parameter_error(self, tmp_path):
         past = Series.zeros(IndexWindow(-60, 0))
         path = tmp_path / "past.csv"
@@ -287,11 +317,14 @@ class TestDiagnoseCommand:
         assert mins[0] == pytest.approx(0.75, abs=1e-12)
         assert all(a > b for a, b in zip(mins, mins[1:]))
 
-    def test_negative_missing_and_window(self, tmp_path):
+    def test_negative_missing_and_window(self, tmp_path, capsys):
         out = tmp_path / "d.json"
-        assert run(["diagnose", "--missing", "-2..0", "--window", "-3..3", "--omega", "0.5",
-                    "--output", str(out)]) == 0
+        assert run(["diagnose", "--missing", "-2..0", "--omega", "0.5", "--output", str(out)]) == 0
         assert json.loads(out.read_text())["diagnostics"]["size"] == 3
+        # the window option is gone: A depends on index differences only
+        assert run(["diagnose", "--missing", "-2..0", "--window", "-3..3", "--omega", "0.5"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["category"] == "parameter" and "--window" in error["message"]
 
     def test_empty_missing_without_sweep(self):
         assert run(["diagnose", "--omega", "0.25"]) == 3
@@ -319,6 +352,14 @@ class TestSimulateCommand:
         missing_field = tmp_path / "missing.json"
         missing_field.write_text(json.dumps({"sweep": "noise"}))
         assert run(["simulate", "--config", str(missing_field)]) == 2
+
+    def test_oversize_window_fails_every_trial(self, tmp_path, capsys):
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps({"sweep": "window", "values": [MAX_WINDOW_SIZE], "trials": 2,
+                                      "omega": 0.25, "synth_band": 0.2}))
+        code, error, peak = run_traced(["simulate", "--config", str(config)], capsys)
+        assert code == 4 and error["category"] == "solver"
+        assert peak < 16 * 2**20
 
     def test_unknown_config_path(self, tmp_path):
         assert run(["simulate", "--config", str(tmp_path / "ghost.json")]) == 2

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandgap import (
     GeometryError,
@@ -13,6 +15,7 @@ from bandgap import (
     observed_halfline_exists,
     parse_missing_spec,
 )
+from bandgap.masks import MAX_MISSING, MAX_WINDOW_SIZE
 
 
 class TestWindow:
@@ -41,6 +44,13 @@ class TestWindow:
     def test_indices_lexicographic(self):
         w = IndexWindow((0, 0), (1, 1))
         assert w.indices() == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def test_size_cap(self):
+        assert IndexWindow(1, MAX_WINDOW_SIZE).size == MAX_WINDOW_SIZE
+        with pytest.raises(GeometryError, match="exceeds"):
+            IndexWindow(0, MAX_WINDOW_SIZE)
+        with pytest.raises(GeometryError, match="exceeds"):
+            IndexWindow((0, 0), (2047, 2048))
 
 
 class TestMakeMask:
@@ -74,6 +84,94 @@ class TestMakeMask:
         assert mask.missing == (-2, 0, 4)
         mask2 = make_mask(IndexWindow((-2, -2), (2, 2)), [(1, 0), (0, 1), (0, 0)])
         assert mask2.missing == ((0, 0), (0, 1), (1, 0))
+
+
+def reference_make_mask(window, missing):
+    """The per-index make_mask the array version replaced, and the offsets it implies."""
+    items = [tuple(int(v) for v in t) if isinstance(t, tuple) else int(t) for t in missing]
+    for t in items:
+        if (len(t) if isinstance(t, tuple) else 1) != window.ndim:
+            raise GeometryError(f"index {t!r} has wrong dimensionality for a {window.ndim}D window")
+        if not window.contains(t):
+            raise GeometryError(f"missing index {t!r} lies outside window [{window.lo}, {window.hi}]")
+    ordered = tuple(sorted(items, key=lambda t: t if isinstance(t, tuple) else (t,)))
+    for a, b in zip(ordered, ordered[1:]):
+        if a == b:
+            raise GeometryError(f"duplicate missing index {a!r}")
+    offsets = [window.offset_of(t) for t in ordered]
+    return ordered, np.array(offsets, dtype=np.int64).reshape(len(ordered), window.ndim)
+
+
+def reference_halfline(mask):
+    """The two-branch half-line predicate the any-ndim test replaced."""
+    if mask.n_missing == 0:
+        return True
+    if mask.window.ndim == 1:
+        gaps = set(mask.missing)
+        return (mask.window.lo not in gaps) or (mask.window.hi not in gaps)
+    coords = np.array(mask.missing, dtype=np.int64)
+    for axis, (lo, hi) in enumerate(zip(mask.window.lo, mask.window.hi)):
+        if not np.any(coords[:, axis] == lo) or not np.any(coords[:, axis] == hi):
+            return True
+    return False
+
+
+@st.composite
+def windows_and_indices(draw):
+    """A 1D or 2D window and a list of indices around it: duplicates, strays, the empty list.
+
+    One list in eight has the other dimensionality.
+    """
+    ndim = draw(st.sampled_from([1, 2]))
+    lo = [draw(st.integers(-20, 20)) for _ in range(ndim)]
+    hi = [a + draw(st.integers(0, 7)) for a in lo]
+    wrong = draw(st.integers(0, 7)) == 0
+    inside = draw(st.booleans())  # draw every index from within the window
+    axes = [st.integers(a - 2 * (not inside), b + 2 * (not inside)) for a, b in zip(lo, hi)]
+    if ndim == 1:
+        window = IndexWindow(lo[0], hi[0])
+        index = st.tuples(*axes, axes[0]) if wrong else axes[0]
+    else:
+        window = IndexWindow(tuple(lo), tuple(hi))
+        index = axes[0] if wrong else st.tuples(*axes)
+    min_size = int(draw(st.integers(0, 7)) > 0)
+    return window, draw(st.lists(index, min_size=min_size, max_size=20,
+                                 unique=inside and draw(st.booleans())))
+
+
+class TestArrayMask:
+    @settings(max_examples=400, deadline=None)
+    @given(windows_and_indices())
+    def test_make_mask_matches_per_index_reference(self, case):
+        window, missing = case
+        try:
+            expected = reference_make_mask(window, missing)
+        except GeometryError as exc:
+            with pytest.raises(GeometryError) as got:
+                make_mask(window, missing)
+            assert str(got.value) == str(exc)
+            return
+        mask = make_mask(window, missing)
+        assert mask.missing == expected[0]
+        assert mask.offsets.dtype == np.int64 and np.array_equal(mask.offsets, expected[1])
+        assert not mask.offsets.flags.writeable
+        built = type(mask)(window=window, missing=mask.missing)  # the property computed afresh
+        assert built == mask and np.array_equal(built.offsets, expected[1])
+        assert observed_halfline_exists(mask) == reference_halfline(mask)
+
+    def test_array_input_and_truncation(self):
+        w = IndexWindow((0, 0), (3, 3))
+        assert make_mask(w, np.array([[2, 1], [0, 3]])).missing == ((0, 3), (2, 1))
+        assert make_mask(IndexWindow(0, 3), [1.5, 3.0, 2]).missing == (1, 2, 3)
+        assert make_mask(IndexWindow(0, 3), [(2,), (1,)]).missing == (1, 2)
+
+    def test_mixed_or_oversize_indices_are_geometry_errors(self):
+        with pytest.raises(GeometryError):
+            make_mask(IndexWindow(0, 3), [1, (2, 3)])
+        with pytest.raises(GeometryError):
+            make_mask(IndexWindow(0, 3), [10**20])
+        with pytest.raises(GeometryError):
+            make_mask(IndexWindow((0, 0), (3, 3)), [(1, 2, 3)])
 
 
 class TestApplyMask:
@@ -164,3 +262,11 @@ class TestMissingSpec:
     def test_mixed_dims_rejected(self):
         with pytest.raises(ParameterError):
             parse_missing_spec("1, 0..1 x 0..1")
+
+    def test_cap_before_expansion(self):
+        assert len(parse_missing_spec(f"1..{MAX_MISSING}")) == MAX_MISSING
+        assert len(parse_missing_spec("0..63 x 0..63")) == MAX_MISSING
+        for spec in [f"0..{MAX_MISSING}", f"1..{MAX_MISSING}, -1", "0..64 x 0..63",
+                     f"1..10, 0..{10**30}", "0..99999999 x 0..99999999"]:
+            with pytest.raises(GeometryError, match=str(MAX_MISSING)):
+                parse_missing_spec(spec)

@@ -1,9 +1,13 @@
 """Series container semantics and CSV round-tripping."""
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bandgap import GeometryError, IndexWindow, ParameterError, Series, make_mask
+from bandgap import GeometryError, IndexWindow, ParameterError, Series, apply_mask, make_mask
 from bandgap.series import read_series_csv, write_series_csv
 
 
@@ -132,3 +136,58 @@ def test_csv_absent_rows_2d_in_row_major_order(tmp_path):
     assert back.window == IndexWindow((-1, 2), (1, 4))
     assert absent == [(-1, 3), (-1, 4), (0, 2), (0, 3), (1, 2), (1, 4)]
     assert back.value_at((0, 4)) == 2.0 and back.value_at((1, 2)) == 0.0
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1,2.0,3", "expected 2 fields, got 3"),
+    ("1,abc", "could not convert"),
+    ("1,nan", "non-finite sample 'nan'"),
+    ("0,2.0", "duplicate index 0"),
+])
+def test_csv_errors_name_the_physical_line(tmp_path, row, message):
+    # comment and blank lines count: the bad row is line 6 of the file
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# a comment\nt,value\n0,1.0\n\n# another\n{row}\n2,3.0\n")
+    with pytest.raises(ParameterError, match=rf"bad\.csv:6: {message}"):
+        read_series_csv(path)
+
+
+def reference_write(series, path, mask=None):
+    """The per-index writer the array version replaced."""
+    skip = set(mask.missing) if mask is not None else set()
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(["t", "value"] if series.ndim == 1 else ["t1", "t2", "value"])
+        for t in series.window.indices():
+            if t not in skip:
+                writer.writerow([*(t if isinstance(t, tuple) else (t,)), repr(series.value_at(t))])
+
+
+@st.composite
+def masked_series(draw):
+    """A 1D or 2D series and a mask that leaves both window corners observed."""
+    ndim = draw(st.sampled_from([1, 2]))
+    lo = tuple(draw(st.integers(-50, 50)) for _ in range(ndim))
+    shape = tuple(draw(st.integers(1, 12)) for _ in range(ndim))
+    hi = tuple(a + n - 1 for a, n in zip(lo, shape))
+    window = IndexWindow(lo, hi) if ndim == 2 else IndexWindow(lo[0], hi[0])
+    values = np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=window.size, max_size=window.size))).reshape(shape)
+    corners = {window.lo, window.hi}
+    inner = [t for t in window.indices() if t not in corners]
+    missing = draw(st.lists(st.sampled_from(inner), unique=True)) if inner else []
+    return Series(window=window, values=values), make_mask(window, missing)
+
+
+@settings(max_examples=200, deadline=None)
+@given(masked_series())
+def test_csv_round_trip_is_the_identity(tmp_path_factory, case):
+    series, mask = case
+    path, reference = tmp_path_factory.mktemp("rt") / "s.csv", tmp_path_factory.mktemp("rt") / "r.csv"
+    write_series_csv(series, path, mask=mask)
+    reference_write(series, reference, mask=mask)
+    assert path.read_bytes() == reference.read_bytes()
+    back, absent = read_series_csv(path)
+    assert back.window == series.window
+    assert tuple(absent) == mask.missing
+    assert np.array_equal(back.values, apply_mask(series, mask).values)
