@@ -107,7 +107,7 @@ def _forecasts(spec: ForecastSpec, dummies: list[Series | None]) -> list[Forecas
     mask = make_mask(window, range(1, spec.gap + 1))
     problems = []
     for dummy in dummies:
-        values = np.zeros(window.size)
+        values = np.zeros(window.checked_size())
         values[: q + 1] = spec.past.values
         if dummy is not None:
             values[q + 1 + spec.gap :] = dummy.values

@@ -99,7 +99,7 @@ def sinc_mixture_values(band: BandLimit, centers, amplitudes, ts: np.ndarray) ->
 def gen_bandlimited(spec: SignalSpec) -> Series:
     """Synthesize a band-limited series on the spec's window (deterministic per seed)."""
     window = spec.window
-    ts = np.arange(window.lo, window.hi + 1)
+    ts = window.lo + np.arange(window.checked_size())
     if spec.kind == "sinc_mixture":
         return Series(window=window, values=sinc_mixture_values(spec.band, spec.centers, spec.amplitudes, ts))
     rng = np.random.default_rng(spec.seed)
@@ -186,7 +186,7 @@ def oracle_recover(problem: RecoveryProblem, grid: int = ORACLE_DEFAULT_GRID) ->
     (w,) = problem.omega.axes
 
     missing = np.array(problem.mask.missing, dtype=np.int64)
-    ts = np.arange(window.lo, window.hi + 1)
+    ts = window.lo + np.arange(window.checked_size())
     observed_sel = ~np.isin(ts, missing)
     obs_t = ts[observed_sel]
     obs_x = problem.series.values[observed_sel]

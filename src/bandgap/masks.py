@@ -24,9 +24,8 @@ from .errors import GeometryError, ParameterError
 
 Index = int | tuple[int, int]
 
-# Largest window (in samples): 16x a 512 x 512 grid and over 40x a
-# 10^5-sample series.  A window is checked against it when it is made,
-# before anything of its size is allocated.
+# Largest window (in samples) an array is allocated over: 16x a 512 x 512
+# grid and over 40x a 10^5-sample series.  See IndexWindow.checked_size.
 MAX_WINDOW_SIZE = 1 << 22
 
 # Largest missing set recovered: its gap matrix takes 4096^2 doubles = 128 MiB.
@@ -61,8 +60,6 @@ class IndexWindow:
         for a, b in zip(self._lo_axes(), self._hi_axes()):
             if a > b:
                 raise GeometryError(f"window bound {a} exceeds {b}; window must be nonempty")
-        if self.size > MAX_WINDOW_SIZE:
-            raise GeometryError(f"window of shape {self.shape} exceeds {MAX_WINDOW_SIZE} samples")
 
     def _lo_axes(self) -> tuple[int, ...]:
         return self.lo if isinstance(self.lo, tuple) else (self.lo,)
@@ -82,6 +79,12 @@ class IndexWindow:
     def size(self) -> int:
         return math.prod(self.shape)
 
+    def checked_size(self) -> int:
+        """The size, taken before an array of it is allocated: above MAX_WINDOW_SIZE, a GeometryError."""
+        if self.size > MAX_WINDOW_SIZE:
+            raise GeometryError(f"window of shape {self.shape} exceeds {MAX_WINDOW_SIZE} samples")
+        return self.size
+
     def contains(self, t: Index) -> bool:
         t_axes = t if isinstance(t, tuple) else (t,)
         if len(t_axes) != self.ndim:
@@ -90,7 +93,10 @@ class IndexWindow:
 
     def indices(self) -> list[Index]:
         """All window indices in lexicographic (row-major) order."""
-        return list(as_indices(np.argwhere(np.ones(self.shape, dtype=bool)) + np.asarray(self.lo)))
+        if self.ndim == 1:
+            return list(range(self.lo, self.hi + 1))
+        (l1, l2), (h1, h2) = self.lo, self.hi
+        return [(i, j) for i in range(l1, h1 + 1) for j in range(l2, h2 + 1)]
 
     def offset_of(self, t: Index) -> tuple[int, ...]:
         """Array offset of an in-window index."""
@@ -141,19 +147,14 @@ def make_mask(window: IndexWindow, missing) -> ObservationMask:
     """
     items = list(missing)
     try:
-        coords = np.asarray(items, dtype=np.int64)
+        coords = np.asarray(items, dtype=np.int64).reshape(len(items), window.ndim)
     except OverflowError as exc:
         raise GeometryError(f"a missing index lies outside window [{window.lo}, {window.hi}]") from exc
-    except ValueError as exc:
-        raise GeometryError(f"missing indices must all be {window.ndim}D: {exc}") from exc
-    if not items:
-        coords = coords.reshape(0, window.ndim)
-    elif coords.ndim == 1:
-        coords = coords[:, None]
-    if coords.ndim != 2 or coords.shape[1] != window.ndim:
-        raise GeometryError(f"index {items[0]!r} has wrong dimensionality for a {window.ndim}D window")
-    lo = np.asarray(window.lo)
-    outside = np.flatnonzero(np.any((coords < lo) | (coords > np.asarray(window.hi)), axis=1))
+    except ValueError as exc:  # not one index per row: name the first of another dimensionality
+        t = next((t for t in map(_as_index, items) if np.size(t) != window.ndim), items[0])
+        raise GeometryError(f"index {t!r} has wrong dimensionality for a {window.ndim}D window") from exc
+    lo, hi = np.asarray(window.lo), np.asarray(window.hi)
+    outside = np.flatnonzero(np.any((coords < lo) | (coords > hi), axis=1))
     if outside.size:
         (t,) = as_indices(coords[outside[:1]])
         raise GeometryError(f"missing index {t!r} lies outside window [{window.lo}, {window.hi}]")
@@ -162,11 +163,7 @@ def make_mask(window: IndexWindow, missing) -> ObservationMask:
     repeats = np.flatnonzero(np.all(coords[1:] == coords[:-1], axis=1))
     if repeats.size:
         raise GeometryError(f"duplicate missing index {ordered[repeats[0]]!r}")
-    coords -= lo
-    coords.flags.writeable = False
-    mask = ObservationMask(window=window, missing=ordered)
-    mask.__dict__["offsets"] = coords  # the cached property, already at hand
-    return mask
+    return ObservationMask(window=window, missing=ordered)
 
 
 def apply_mask(series, mask: ObservationMask):

@@ -108,8 +108,9 @@ def read_series_csv(path) -> tuple[Series, list[Index]]:
     except OverflowError as exc:
         raise GeometryError(f"{path}: index does not fit in 64 bits") from exc
     lo = coords.min(axis=0)
+    window = IndexWindow(lo, coords.max(axis=0))
     try:
-        window = IndexWindow(lo, coords.max(axis=0))
+        filled = np.zeros(window.checked_size())
     except GeometryError as exc:
         raise GeometryError(f"{path}: {exc}") from exc
     flat = np.ravel_multi_index(tuple((coords - lo).T), window.shape)
@@ -119,7 +120,6 @@ def read_series_csv(path) -> tuple[Series, list[Index]]:
         row = int(repeats.min())
         (t,) = as_indices(coords[row:row + 1])
         raise ParameterError(f"{path}:{lines[row]}: duplicate index {t!r}")
-    filled = np.zeros(window.size)
     filled[flat] = values
     present = np.zeros(filled.size, dtype=bool)
     present[flat] = True

@@ -326,6 +326,14 @@ class TestDiagnoseCommand:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["category"] == "parameter" and "--window" in error["message"]
 
+    def test_far_apart_gaps_are_not_window_capped(self, tmp_path):
+        # the bounding box exceeds the window cap, but diagnose allocates nothing of its size
+        assert 2101 * 2101 > MAX_WINDOW_SIZE
+        out = tmp_path / "d.json"
+        assert run(["diagnose", "--missing", "0..0 x 0..0, 2100..2100 x 2100..2100",
+                    "--omega", "0.5", "--omega2", "0.5", "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["diagnostics"]["spectrum"] == pytest.approx([0.25, 0.25])
+
     def test_empty_missing_without_sweep(self):
         assert run(["diagnose", "--omega", "0.25"]) == 3
 

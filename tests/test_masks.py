@@ -46,11 +46,11 @@ class TestWindow:
         assert w.indices() == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_size_cap(self):
-        assert IndexWindow(1, MAX_WINDOW_SIZE).size == MAX_WINDOW_SIZE
-        with pytest.raises(GeometryError, match="exceeds"):
-            IndexWindow(0, MAX_WINDOW_SIZE)
-        with pytest.raises(GeometryError, match="exceeds"):
-            IndexWindow((0, 0), (2047, 2048))
+        assert IndexWindow(1, MAX_WINDOW_SIZE).checked_size() == MAX_WINDOW_SIZE
+        for window in [IndexWindow(0, MAX_WINDOW_SIZE), IndexWindow((0, 0), (2047, 2048))]:
+            assert window.size > MAX_WINDOW_SIZE  # a window is made, and measured, at any size
+            with pytest.raises(GeometryError, match="exceeds"):
+                window.checked_size()
 
 
 class TestMakeMask:
@@ -120,20 +120,22 @@ def reference_halfline(mask):
 def windows_and_indices(draw):
     """A 1D or 2D window and a list of indices around it: duplicates, strays, the empty list.
 
-    One list in eight has the other dimensionality.
+    One list in eight has the other dimensionality, and one in eight mixes
+    both within the window.
     """
     ndim = draw(st.sampled_from([1, 2]))
     lo = [draw(st.integers(-20, 20)) for _ in range(ndim)]
     hi = [a + draw(st.integers(0, 7)) for a in lo]
-    wrong = draw(st.integers(0, 7)) == 0
-    inside = draw(st.booleans())  # draw every index from within the window
+    kind = draw(st.sampled_from(["right"] * 6 + ["wrong", "mixed"]))
+    inside = kind == "mixed" or draw(st.booleans())  # draw every index from within the window
     axes = [st.integers(a - 2 * (not inside), b + 2 * (not inside)) for a, b in zip(lo, hi)]
     if ndim == 1:
         window = IndexWindow(lo[0], hi[0])
-        index = st.tuples(*axes, axes[0]) if wrong else axes[0]
+        right, wrong = axes[0], st.tuples(*axes, axes[0])
     else:
         window = IndexWindow(tuple(lo), tuple(hi))
-        index = axes[0] if wrong else st.tuples(*axes)
+        right, wrong = st.tuples(*axes), axes[0]
+    index = {"right": right, "wrong": wrong, "mixed": st.one_of(right, wrong)}[kind]
     min_size = int(draw(st.integers(0, 7)) > 0)
     return window, draw(st.lists(index, min_size=min_size, max_size=20,
                                  unique=inside and draw(st.booleans())))
@@ -155,8 +157,6 @@ class TestArrayMask:
         assert mask.missing == expected[0]
         assert mask.offsets.dtype == np.int64 and np.array_equal(mask.offsets, expected[1])
         assert not mask.offsets.flags.writeable
-        built = type(mask)(window=window, missing=mask.missing)  # the property computed afresh
-        assert built == mask and np.array_equal(built.offsets, expected[1])
         assert observed_halfline_exists(mask) == reference_halfline(mask)
 
     def test_array_input_and_truncation(self):
@@ -166,8 +166,14 @@ class TestArrayMask:
         assert make_mask(IndexWindow(0, 3), [(2,), (1,)]).missing == (1, 2)
 
     def test_mixed_or_oversize_indices_are_geometry_errors(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match=r"^index \(2, 3\) has wrong dimensionality for a 1D"):
             make_mask(IndexWindow(0, 3), [1, (2, 3)])
+        w = IndexWindow((0, 0), (3, 3))
+        with pytest.raises(GeometryError) as got:
+            make_mask(w, [(0, 1), 3])
+        with pytest.raises(GeometryError, match=r"^index 3 has wrong dimensionality for a 2D") as expected:
+            reference_make_mask(w, [(0, 1), 3])
+        assert str(got.value) == str(expected.value)
         with pytest.raises(GeometryError):
             make_mask(IndexWindow(0, 3), [10**20])
         with pytest.raises(GeometryError):
