@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import re
 import sys
@@ -29,8 +30,8 @@ from . import __version__
 from .errors import GeometryError, ParameterError, SolverError
 from .forecast import ForecastSpec, forecast
 from .kernel import BandLimit
-from .lab import ExperimentConfig, run_experiment, write_report_csv
-from .masks import IndexWindow, make_mask, parse_missing_spec
+from .lab import ROW_FIELDS, ExperimentConfig, run_experiment
+from .masks import MAX_MISSING, IndexWindow, make_mask, parse_missing_spec, spec_ranges
 from .operators import assemble_operator, diagnostics, eigenvalues
 from .recovery import RecoveryProblem, recover
 from .series import read_series_csv
@@ -208,11 +209,14 @@ def cmd_diagnose(args) -> int:
     }
     doc = _base_doc("diagnose", config)
     if args.gap_sizes:
-        sizes = parse_missing_spec(args.gap_sizes)
-        if any(isinstance(s, tuple) or s < 1 for s in sizes):
+        ranges = list(spec_ranges(args.gap_sizes))  # unexpanded, so the cap is checked first
+        if any(len(axes) != 1 or axes[0].start < 1 for axes in ranges):
             raise ParameterError("--gap-sizes must be positive integers")
+        if any(axes[0][-1] > MAX_MISSING for axes in ranges):
+            raise GeometryError(f"--gap-sizes lists a gap longer than the {MAX_MISSING} samples "
+                                "that can be recovered")
         rows = []
-        for m in sizes:
+        for m in itertools.chain.from_iterable(axes[0] for axes in ranges):
             mask = make_mask(IndexWindow(1, m), range(1, m + 1))
             diag = diagnostics(assemble_operator(mask, omega))
             rows.append({
@@ -269,12 +273,7 @@ def cmd_simulate(args) -> int:
     report = run_experiment(config)
     report["version"] = __version__
     report["config_file"] = doc
-    if args.format == "json":
-        _write_text(args.output, _json(report, indent=2) + "\n")
-    else:
-        if args.output in (None, "-"):
-            raise ParameterError("CSV simulate output requires --output PATH")
-        write_report_csv(report, args.output)
+    _emit(report, args, report["rows"], ROW_FIELDS)
     return EXIT_OK
 
 

@@ -40,7 +40,3 @@ class NonConvergenceError(SolverError):
 
 class OracleConditioningError(SolverError):
     """The brute-force oracle's normal equations are too ill-conditioned to trust."""
-
-
-class ExperimentError(SolverError):
-    """Every trial of an experiment failed."""

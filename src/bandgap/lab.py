@@ -23,21 +23,22 @@ affordable; grids this fine are what the refinement gate (output change
 solver modules is used on this path.
 
 `run_experiment` sweeps window size, noise level, ridge weight, or gap
-size over seeded Monte-Carlo trials and aggregates error metrics; reports
-serialize to JSON and flat CSV.  Identical seeds give identical rows (the
+size over seeded Monte-Carlo trials and aggregates error metrics.  It is a
+client of `recover_all`: the trials of one sweep value, clean and noisy
+series alike, share one operator, one factorization and one margin, and
+are generated one at a time.  A row's `wall_ms` is its value's wall time
+divided by the number of trials.  Identical seeds give identical rows (the
 wall-clock fields are the only nondeterministic part of a report).
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import time
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import ExperimentError, GeometryError, OracleConditioningError, ParameterError
+from .errors import BandgapError, GeometryError, OracleConditioningError, ParameterError
 from .kernel import BandLimit, kernel_profile, lowpass_filter
 from .masks import IndexWindow, ObservationMask, make_mask, parse_missing_spec
 from .recovery import RecoveryProblem, RecoverySolution, default_rho, recover_all
@@ -254,7 +255,8 @@ class ExperimentConfig:
     """One sweep over a single parameter, repeated over seeded trials.
 
     sweep: "window" (half-width), "noise" (sigma), "rho", or "gap" (|M|).
-    values: strictly increasing sweep values.
+    values: strictly increasing sweep values, converted on construction to
+        int (window, gap) or float (noise, rho).
     seeds: one seed per trial (a plain `seed` in JSON is expanded to
         seed, seed+1, ...).  omega and synth_band are radians here; the
         JSON form uses fractions of pi.
@@ -273,16 +275,23 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.sweep not in SWEEPS:
             raise ParameterError(f"unknown sweep {self.sweep!r}; expected one of {SWEEPS}")
+        convert = int if self.sweep in ("window", "gap") else float
+        try:
+            self.values = tuple(convert(v) for v in self.values)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"{self.sweep} sweep values must be numbers: {exc}") from exc
         if len(self.values) == 0:
             raise ParameterError("sweep values must be nonempty")
         if list(self.values) != sorted(set(self.values)):
             raise ParameterError("sweep values must be strictly increasing")
         if len(self.seeds) < 1:
             raise ParameterError("at least one trial seed is required")
-
-    @property
-    def trials(self) -> int:
-        return len(self.seeds)
+        if self.sigma < 0 or (self.rho is not None and self.rho < 0):
+            raise ParameterError("sigma and rho must be nonnegative")
+        if self.sweep in ("noise", "rho") and self.values[0] < 0:
+            raise ParameterError(f"{self.sweep} sweep values must be nonnegative")
+        if self.sweep == "gap" and self.values[0] < 1:
+            raise ParameterError("gap sweep values must be at least 1")
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -318,101 +327,99 @@ class ExperimentConfig:
         return doc
 
 
-def _trial_signal(band: BandLimit, window: IndexWindow, seed: int) -> tuple[SignalSpec, np.ndarray]:
+def _trial_signal(band: BandLimit, window: IndexWindow, seed: int) -> SignalSpec:
     """Seeded mixture with centers near the origin so truth is window-independent."""
     rng = np.random.default_rng(seed)
     n_pulses = int(rng.integers(2, 5))
     centers = tuple(int(c) for c in rng.integers(-20, 21, size=n_pulses))
     amplitudes = tuple(float(a) for a in rng.uniform(-1.0, 1.0, size=n_pulses))
-    spec = SignalSpec(kind="sinc_mixture", band=band, window=window,
+    return SignalSpec(kind="sinc_mixture", band=band, window=window,
                       centers=centers, amplitudes=amplitudes)
-    return spec, np.array(centers)
 
 
-def _run_trial(config: ExperimentConfig, value, seed: int) -> dict:
-    t0 = time.perf_counter()
-    synth_band = BandLimit(config.synth_band)
-    omega = BandLimit(config.omega)
-
-    half_width = int(value) if config.sweep == "window" else config.window
+def _value_rows(config: ExperimentConfig, value, missing: list, synth_band: BandLimit,
+                omega: BandLimit) -> list[dict]:
+    """One row per seed: every trial of a sweep value, clean and noisy, in one `recover_all`."""
+    half_width = value if config.sweep == "window" else config.window
     window = IndexWindow(-half_width, half_width)
-    missing = parse_missing_spec(config.missing)
-    if config.sweep == "gap":
-        missing = list(range(1, int(value) + 1))
-    mask = make_mask(window, missing)
+    mask = make_mask(window, range(1, value + 1) if config.sweep == "gap" else missing)
     rho = value if config.sweep == "rho" else config.rho
+    sigma = value if config.sweep == "noise" else config.sigma
+    trials = []  # (seed, truth on the missing set, noise norm or None), one per yielded clean series
 
-    spec, _ = _trial_signal(synth_band, window, seed)
-    series = gen_bandlimited(spec)
-    truth = sinc_mixture_values(synth_band, spec.centers, spec.amplitudes,
-                                np.array(mask.missing))
+    def problems():
+        for seed in config.seeds:
+            spec = _trial_signal(synth_band, window, seed)
+            clean = RecoveryProblem(series=gen_bandlimited(spec), mask=mask, omega=omega, rho=rho)
+            truth = sinc_mixture_values(synth_band, spec.centers, spec.amplitudes, np.array(mask.missing))
+            noisy = add_noise(clean.series, sigma, seed + 1_000_003, mask=mask) if sigma > 0 else None
+            trials.append((seed, truth, None if noisy is None else noisy.eta_norm))
+            yield clean
+            if noisy is not None:
+                yield replace(clean, series=noisy.series)
 
-    sigma = float(value) if config.sweep == "noise" else config.sigma
-    row = {
-        "sweep": config.sweep,
-        "value": value,
-        "seed": seed,
-        "sigma": sigma,
-        "status": "ok",
-    }
-
-    # The noisy series shares the clean one's operator and factorization.
-    problems = [RecoveryProblem(series=series, mask=mask, omega=omega, rho=rho)]
-    if sigma > 0:
-        noisy = add_noise(series, sigma, seed + 1_000_003, mask=mask)
-        problems.append(replace(problems[0], series=noisy.series))
-    clean, *noisy_sols = recover_all(problems)
-    y_clean = clean.vector()
-    report = clean.solve_report
-    diag = clean.operator_diagnostics
-    row["rho"] = report.rho
-    row["spectral_norm"] = diag.spectral_norm
-    row["min_eig_I_minus_A"] = diag.min_eig_I_minus_A
-    row["sol_norm"] = float(np.linalg.norm(y_clean))
-
-    if noisy_sols:
-        noisy_sol = noisy_sols[0]
-        # error_bound's eta / (1 + rho - ||A||), from the clean solve's margin.
-        bound = noisy.eta_norm / (1.0 + report.rho - diag.spectral_norm)
-        deviation = float(np.linalg.norm(noisy_sol.vector() - y_clean))
-        row["eta_norm"] = noisy.eta_norm
-        row["perturbation"] = deviation
-        row["perturbation_bound"] = bound
-        row["bound_violation"] = int(deviation > bound * (1.0 + 1e-9))
-        y_final = noisy_sol.vector()
-    else:
-        row["eta_norm"] = 0.0
-        row["perturbation"] = 0.0
-        row["perturbation_bound"] = 0.0
-        row["bound_violation"] = 0
+    # The noisy series share the clean ones' operator and factorization.
+    solutions = iter(recover_all(problems()))
+    rows = []
+    for seed, truth, eta_norm in trials:
+        clean = next(solutions)
+        y_clean = clean.vector()
+        report, diag = clean.solve_report, clean.operator_diagnostics
+        row = {
+            "sweep": config.sweep,
+            "value": value,
+            "seed": seed,
+            "sigma": sigma,
+            "status": "ok",
+            "rho": report.rho,
+            "spectral_norm": diag.spectral_norm,
+            "min_eig_I_minus_A": diag.min_eig_I_minus_A,
+            "sol_norm": float(np.linalg.norm(y_clean)),
+            "eta_norm": 0.0,
+            "perturbation": 0.0,
+            "perturbation_bound": 0.0,
+            "bound_violation": 0,
+        }
         y_final = y_clean
-
-    err = np.abs(y_final - truth)
-    row["max_abs_error"] = float(np.max(err))
-    row["rms_error"] = float(np.sqrt(np.mean(err**2)))
-    row["wall_ms"] = (time.perf_counter() - t0) * 1e3
-    return row
+        if eta_norm is not None:
+            y_final = next(solutions).vector()
+            # error_bound's eta / (1 + rho - ||A||), from the clean solve's margin.
+            bound = eta_norm / (1.0 + report.rho - diag.spectral_norm)
+            deviation = float(np.linalg.norm(y_final - y_clean))
+            row.update(eta_norm=eta_norm, perturbation=deviation, perturbation_bound=bound,
+                       bound_violation=int(deviation > bound * (1.0 + 1e-9)))
+        err = np.abs(y_final - truth)
+        row["max_abs_error"] = float(np.max(err))
+        row["rms_error"] = float(np.sqrt(np.mean(err**2)))
+        rows.append(row)
+    return rows
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
-    """Run the sweep; per-trial failures are recorded and skipped, all-failed raises."""
-    t0 = time.perf_counter()
-    rows, failures = [], []
-    for value in config.values:
-        for seed in config.seeds:
-            try:
-                rows.append(_run_trial(config, value, seed))
-            except Exception as exc:  # noqa: BLE001 - record and continue
-                failures.append({"sweep": config.sweep, "value": value, "seed": seed,
-                                 "status": "failed", "error": f"{type(exc).__name__}: {exc}"})
-    if not rows:
-        raise ExperimentError("every trial failed; see report failures")
+    """Run the sweep, one operator and one factorization per sweep value.
 
-    aggregates = []
+    A value whose recovery raises a BandgapError is recorded as one failure
+    row per seed and skipped; when every value fails, the first value's
+    exception propagates.  A row's `wall_ms` is its value's wall time
+    divided by the number of trials.
+    """
+    t0 = time.perf_counter()
+    missing = parse_missing_spec(config.missing)
+    synth_band, omega = BandLimit(config.synth_band), BandLimit(config.omega)
+    rows, failures, aggregates, first_error = [], [], [], None
     for value in config.values:
-        group = [r for r in rows if r["value"] == value]
-        if not group:
+        t_value = time.perf_counter()
+        try:
+            group = _value_rows(config, value, missing, synth_band, omega)
+        except BandgapError as exc:
+            first_error = first_error or exc
+            failures.extend({"sweep": config.sweep, "value": value, "seed": seed, "status": "failed",
+                             "error": f"{type(exc).__name__}: {exc}"} for seed in config.seeds)
             continue
+        wall_ms = (time.perf_counter() - t_value) * 1e3 / len(config.seeds)
+        for row in group:
+            row["wall_ms"] = wall_ms
+        rows.extend(group)
         aggregates.append({
             "value": value,
             "trials": len(group),
@@ -423,6 +430,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
             "min_eig_I_minus_A": float(np.min([r["min_eig_I_minus_A"] for r in group])),
             "mean_sol_norm": float(np.mean([r["sol_norm"] for r in group])),
         })
+    if not rows:
+        raise first_error
 
     return {
         "config": config.echo(),
@@ -434,19 +443,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
     }
 
 
-_CSV_FIELDS = [
+# The columns of `bandgap simulate --format csv`, one line per row.
+ROW_FIELDS = [
     "sweep", "value", "seed", "sigma", "status", "rho", "spectral_norm",
     "min_eig_I_minus_A", "sol_norm", "eta_norm", "perturbation",
     "perturbation_bound", "bound_violation", "max_abs_error", "rms_error", "wall_ms",
 ]
-
-
-def write_report_csv(report: dict, path) -> None:
-    """Flat per-trial rows; the config echo rides along in comment lines."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(f"# generator={report['generator']}\n")
-        f.write(f"# config={json.dumps(report['config'])}\n")
-        writer = csv.DictWriter(f, fieldnames=_CSV_FIELDS, extrasaction="ignore")
-        writer.writeheader()
-        for row in report["rows"]:
-            writer.writerow(row)

@@ -15,6 +15,7 @@ import dataclasses
 import itertools
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -193,27 +194,6 @@ _RANGE_RE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 _SINGLE_RE = re.compile(r"^-?\d+$")
 
 
-def _split_spec(text: str) -> list[str]:
-    """Split on commas that are not inside parentheses."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParameterError(f"unbalanced parentheses in missing spec {text!r}")
-        elif ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-            continue
-        cur.append(ch)
-    if depth != 0:
-        raise ParameterError(f"unbalanced parentheses in missing spec {text!r}")
-    parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
-
-
 def _parse_1d_token(token: str) -> range:
     token = token.strip()
     if token.startswith("(") and token.endswith(")"):
@@ -229,6 +209,16 @@ def _parse_1d_token(token: str) -> range:
     raise ParameterError(f"cannot parse missing-spec token {token!r}")
 
 
+def spec_ranges(text: str) -> Iterator[list[range]]:
+    """The comma-separated tokens of a missing spec, each as its list of per-axis ranges, unexpanded."""
+    for token in (part.strip() for part in text.split(",")):
+        if not token:
+            continue
+        inner = token[1:-1].strip() if token.startswith("(") and token.endswith(")") else token
+        parts = re.split(r"\bx\b", inner, maxsplit=1)
+        yield [_parse_1d_token(p) for p in parts] if len(parts) == 2 else [_parse_1d_token(token)]
+
+
 def parse_missing_spec(text: str) -> list[Index]:
     """Parse the CLI missing-set syntax.
 
@@ -239,10 +229,7 @@ def parse_missing_spec(text: str) -> list[Index]:
     """
     out: list[Index] = []
     dims = set()
-    for token in _split_spec(text):
-        inner = token[1:-1].strip() if token.startswith("(") and token.endswith(")") else token
-        parts = re.split(r"\bx\b", inner, maxsplit=1)
-        axes = [_parse_1d_token(p) for p in parts] if len(parts) == 2 else [_parse_1d_token(token)]
+    for axes in spec_ranges(text):
         dims.add(len(axes))
         if len(out) + math.prod(r.stop - r.start for r in axes) > MAX_MISSING:
             raise GeometryError(f"missing spec lists more than the {MAX_MISSING} samples "

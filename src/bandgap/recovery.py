@@ -18,7 +18,7 @@ the 1D path when the window is a single row or column.
 
 from __future__ import annotations
 
-import dataclasses
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,64 +89,75 @@ def _resolve_rho(problem: RecoveryProblem) -> float:
     return float(rho)
 
 
-def _recover_pipeline(problems: list[RecoveryProblem]) -> list[RecoverySolution]:
-    """One operator, factorization and margin for the shared geometry; one solve per series."""
-    problem = problems[0]
-    mask, omega = problem.mask, problem.omega
+def _pipeline(first: RecoveryProblem) -> Callable[[RecoveryProblem], RecoverySolution]:
+    """Check the first problem in full and build its operator, factorization and margin.
+
+    Returns the per-series solve, which checks that a later problem shares
+    the first one's geometry before it costs one right-hand side and one
+    solve.  A 2D window that is a single row or column carries no
+    resolvable structure along the degenerate axis, so it is solved on the
+    1D pipeline of the other axis; keeping the tensor kernel instead would
+    silently rescale everything by the degenerate axis' omega/pi.
+    """
+    mask, omega = first.mask, first.omega
+    window, missing = mask.window, mask.missing
     if mask.n_missing == 0:
         raise GeometryError("missing set is empty; nothing to recover")
-    if any(p.series.window != mask.window for p in problems):
+    if first.series.window != window:
         raise GeometryError("series and mask are defined on different windows")
-    if omega.ndim != mask.window.ndim:
+    if omega.ndim != window.ndim:
         raise ParameterError("band limit dimensionality does not match the window")
-    rho = _resolve_rho(problem)
+    rho = _resolve_rho(first)
+    shared = (mask, omega, first.rho)
 
+    collapse = window.ndim == 2 and window.size > 1 and 1 in window.shape
+    if collapse:  # the canonical orders of the 2D and the collapsed mask agree
+        keep = 1 - window.shape.index(1)
+        sub_window = IndexWindow(window.lo[keep], window.hi[keep])
+        mask = make_mask(sub_window, mask.offsets[:, keep] + sub_window.lo)
+        omega = BandLimit(omega.axes[keep])
     warnings = () if observed_halfline_exists(mask) else (HALFLINE_WARNING,)
     op = assemble_operator(mask, omega)
     diag = diagnostics(op, rho)
-    solutions = []
-    for p in problems:
-        report = solve_direct(with_rhs(op, assemble_rhs(p.series, mask, omega)), rho)
-        solutions.append(RecoverySolution(
-            values={t: float(v) for t, v in zip(op.order, report.y)},
+
+    def solve(p: RecoveryProblem) -> RecoverySolution:
+        if (p.mask, p.omega, p.rho) != shared:
+            raise ParameterError("problems recovered together must share mask, omega and rho")
+        if p.series.window != window:
+            raise GeometryError("series and mask are defined on different windows")
+        series = Series(window=mask.window, values=p.series.values.reshape(-1)) if collapse else p.series
+        report = solve_direct(with_rhs(op, assemble_rhs(series, mask, omega)), rho)
+        return RecoverySolution(
+            values=dict(zip(missing, report.y.tolist())),
             operator_diagnostics=diag,
             solve_report=report,
             warnings=warnings + report.warnings,
-        ))
-    return solutions
+        )
+
+    return solve
 
 
 def recover(problem: RecoveryProblem) -> RecoverySolution:
-    """Recover the missing trace on a 1D or 2D window.
-
-    A 2D window that is a single row or column carries no resolvable
-    structure along the degenerate axis, so the problem is routed through
-    the 1D pipeline on the other axis; keeping the tensor kernel instead
-    would silently rescale everything by the degenerate axis' omega/pi.
-    """
+    """Recover the missing trace on a 1D or 2D window."""
     return recover_all([problem])[0]
 
 
-def recover_all(problems: list[RecoveryProblem]) -> list[RecoverySolution]:
+def recover_all(problems: Iterable[RecoveryProblem]) -> list[RecoverySolution]:
     """Recover problems that differ only in their series, in order.
 
     The gap operator, its factorization and its margin depend on the
-    mask, the band limit and rho alone, so they are computed once; each
-    problem then costs one right-hand side and one solve.  Each solution is
-    the one `recover` returns for its problem.
+    mask, the band limit and rho alone, so they are computed once, from
+    the first problem; each problem then costs one right-hand side and one
+    solve.  Problems are taken from the iterable one at a time, so a
+    generator keeps only one series alive.  Each solution is the one
+    `recover` returns for its problem.
     """
-    if not problems:
-        return []
-    first = problems[0]
-    shared = (first.mask, first.omega, first.rho)
-    if any((p.mask, p.omega, p.rho) != shared for p in problems[1:]):
-        raise ParameterError("problems recovered together must share mask, omega and rho")
-    window = first.mask.window
-    degenerate = _degenerate_axes(window) if window.ndim == 2 else []
-    if degenerate and window.size > 1:
-        sub = _recover_pipeline([_collapse_to_1d(p, degenerate[0]) for p in problems])
-        return [_expand_to_2d(p, s) for p, s in zip(problems, sub)]
-    return _recover_pipeline(problems)
+    solutions, solve = [], None
+    for problem in problems:
+        if solve is None:
+            solve = _pipeline(problem)
+        solutions.append(solve(problem))
+    return solutions
 
 
 def recover_single_value(series: Series, s: int, omega: BandLimit) -> float:
@@ -160,28 +171,3 @@ def recover_single_value(series: Series, s: int, omega: BandLimit) -> float:
     keep = ts != s
     weighted = kernel_profile(w, s - ts[keep]) @ series.values[keep]
     return float(np.pi / (np.pi - w) * weighted)
-
-
-def _degenerate_axes(window: IndexWindow) -> list[int]:
-    return [axis for axis, extent in enumerate(window.shape) if extent == 1]
-
-
-def _collapse_to_1d(problem: RecoveryProblem, squeeze_axis: int) -> RecoveryProblem:
-    """Strip a single-sample axis; recovery along a one-row window is a 1D problem."""
-    keep_axis = 1 - squeeze_axis
-    window = problem.mask.window
-    sub_window = IndexWindow(window.lo[keep_axis], window.hi[keep_axis])
-    values = problem.series.values.reshape(window.shape)
-    return RecoveryProblem(
-        series=Series(window=sub_window, values=values[0, :] if squeeze_axis == 0 else values[:, 0]),
-        mask=make_mask(sub_window, problem.mask.offsets[:, keep_axis] + sub_window.lo),
-        omega=BandLimit(problem.omega.axes[keep_axis]),
-        rho=problem.rho,
-    )
-
-
-def _expand_to_2d(problem: RecoveryProblem, solution: RecoverySolution) -> RecoverySolution:
-    """Key a collapsed problem's solution by the 2D indices (the canonical orders agree)."""
-    return dataclasses.replace(
-        solution, values=dict(zip(problem.mask.missing, solution.values.values()))
-    )

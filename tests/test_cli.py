@@ -180,6 +180,18 @@ class TestRecoverCommand:
         doc = json.loads(out.read_text())
         assert {(row["t1"], row["t2"]) for row in doc["values"]} == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
+    @pytest.mark.parametrize("lo, hi, missing", [((3, -20), (3, 20), "3 x 2"), ((-20, 3), (20, 3), "2 x 3")],
+                             ids=["one-row", "one-column"])
+    def test_one_band_on_a_one_line_grid_is_parameter_error(self, tmp_path, capsys, lo, hi, missing):
+        w = IndexWindow(lo, hi)
+        path = tmp_path / "line.csv"
+        write_series_csv(Series(window=w, values=np.random.default_rng(3).standard_normal(w.shape)), path)
+        code, error, peak = run_traced(["recover", "--input", str(path), "--missing", missing,
+                                        "--omega", "0.5"], capsys)
+        assert code == 2 and error["category"] == "parameter"
+        assert "dimensionality" in error["message"]
+        assert peak < 16 * 2**20
+
     @pytest.mark.parametrize("flag", [["--solver", "neumann"], ["--tol", "1e-13"], ["--max-iter", "10"]])
     def test_solver_flags_are_rejected(self, series_121, flag, capsys):
         _, path = series_121
@@ -317,6 +329,13 @@ class TestDiagnoseCommand:
         assert mins[0] == pytest.approx(0.75, abs=1e-12)
         assert all(a > b for a, b in zip(mins, mins[1:]))
 
+    @pytest.mark.parametrize("spec", ["1..5000", "4097", "3, 1..300000000"])
+    def test_oversize_gap_size_names_the_option(self, spec, capsys):
+        code, error, peak = run_traced(["diagnose", "--omega", "0.5", "--gap-sizes", spec], capsys)
+        assert code == 3 and error["category"] == "geometry"
+        assert "--gap-sizes" in error["message"] and str(MAX_MISSING) in error["message"]
+        assert peak < 16 * 2**20
+
     def test_negative_missing_and_window(self, tmp_path, capsys):
         out = tmp_path / "d.json"
         assert run(["diagnose", "--missing", "-2..0", "--omega", "0.5", "--output", str(out)]) == 0
@@ -361,13 +380,36 @@ class TestSimulateCommand:
         missing_field.write_text(json.dumps({"sweep": "noise"}))
         assert run(["simulate", "--config", str(missing_field)]) == 2
 
-    def test_oversize_window_fails_every_trial(self, tmp_path, capsys):
+    def test_oversize_window_is_geometry_error(self, tmp_path, capsys):
         config = tmp_path / "huge.json"
         config.write_text(json.dumps({"sweep": "window", "values": [MAX_WINDOW_SIZE], "trials": 2,
                                       "omega": 0.25, "synth_band": 0.2}))
         code, error, peak = run_traced(["simulate", "--config", str(config)], capsys)
-        assert code == 4 and error["category"] == "solver"
+        assert code == 3 and error["category"] == "geometry"
+        assert str(MAX_WINDOW_SIZE) in error["message"]
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("fields", [{"missing": "bogus"}, {"values": ["a"]}, {"values": [-0.1]},
+                                        {"sigma": -0.1}], ids=["missing", "value", "sigma-value", "sigma"])
+    def test_bad_config_is_parameter_error(self, tmp_path, capsys, fields):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"sweep": "noise", "values": [0.1], "trials": 2, "omega": 0.25,
+                                      "synth_band": 0.2, "window": 50, **fields}))
+        code, error, peak = run_traced(["simulate", "--config", str(config)], capsys)
+        assert code == 2 and error["category"] == "parameter"
+        assert peak < 16 * 2**20
+
+    def test_failing_value_is_recorded_per_seed(self, tmp_path):
+        config, out = tmp_path / "gap.json", tmp_path / "report.json"
+        config.write_text(json.dumps({"sweep": "gap", "values": [5, 300], "seeds": [1, 2], "omega": 0.25,
+                                      "synth_band": 0.2, "window": 100}))
+        assert run(["simulate", "--config", str(config), "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert [(r["value"], r["seed"]) for r in report["rows"]] == [(5, 1), (5, 2)]
+        failed = [(f["value"], f["seed"], f["status"]) for f in report["failures"]]
+        assert failed == [(300, 1, "failed"), (300, 2, "failed")]
+        assert all(f["error"].startswith("GeometryError: ") for f in report["failures"])
+        assert [agg["value"] for agg in report["aggregates"]] == [5]
 
     def test_unknown_config_path(self, tmp_path):
         assert run(["simulate", "--config", str(tmp_path / "ghost.json")]) == 2

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from bandgap import (
 )
 from bandgap.kernel import kernel_profile
 from bandgap.cli import main
-from bandgap.lab import write_report_csv
 
 OMEGA = BandLimit.from_pi_fraction(0.25)
 
@@ -259,7 +259,7 @@ class TestExperiments:
         norms = [agg["mean_sol_norm"] for agg in report["aggregates"]]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
-    def test_report_writers(self, tmp_path):
+    def test_report_writers(self, tmp_path, capsys):
         config = ExperimentConfig(
             sweep="noise", values=(0.0, 0.05), seeds=(1,),
             omega=0.25 * np.pi, synth_band=0.2 * np.pi, missing="1..2", window=100,
@@ -274,8 +274,62 @@ class TestExperiments:
         assert loaded["generator"] == lab.RNG_ALGORITHM
         assert len(loaded["rows"]) == len(report["rows"])
         cpath = tmp_path / "report.csv"
-        write_report_csv(report, cpath)
-        lines = cpath.read_text().strip().splitlines()
-        assert lines[0].startswith("# generator=")
-        assert lines[2].split(",")[0] == "sweep"
-        assert len(lines) == 3 + len(report["rows"])
+        assert main(["simulate", "--config", str(cfg), "--format", "csv", "--output", str(cpath)]) == 0
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(cfg), "--format", "csv"]) == 0
+        for text in (cpath.read_text(), capsys.readouterr().out):
+            lines = text.strip().splitlines()
+            assert lines[0] == f"# version={loaded['version']}"
+            assert json.loads(lines[1].removeprefix("# config=")) == loaded["config"]
+            assert lines[2].split(",") == lab.ROW_FIELDS
+            assert len(lines) == 3 + len(report["rows"])
+            assert [line.split(",")[:3] for line in lines[3:]] == [["noise", "0.0", "1"], ["noise", "0.05", "1"]]
+
+    def test_config_values_are_converted_and_checked(self):
+        base = dict(seeds=(0,), omega=0.25 * np.pi, synth_band=0.2 * np.pi)
+        assert ExperimentConfig(sweep="window", values=("250", 500.0), **base).values == (250, 500)
+        assert ExperimentConfig(sweep="noise", values=(0, "0.1"), **base).values == (0.0, 0.1)
+        for sweep, values, extra in (("window", ("a",), {}), ("noise", (None,), {}),
+                                     ("noise", (-0.1, 0.1), {}), ("rho", (-1.0,), {}),
+                                     ("gap", (0, 5), {}), ("window", (250,), {"sigma": -0.1}),
+                                     ("window", (250,), {"rho": -1e-4})):
+            with pytest.raises(ParameterError):
+                ExperimentConfig(sweep=sweep, values=values, **base, **extra)
+
+
+SWEEP_CONFIGS = [
+    dict(sweep="noise", values=(0.0, 0.01, 0.1), missing="1..5", window=80, rho=0.0),
+    dict(sweep="gap", values=(1, 4, 9), window=60, rho=0.0),
+    dict(sweep="rho", values=(0.0, 0.1, 1.0), missing="1..3", window=70, sigma=0.05),
+    dict(sweep="window", values=(50, 100, 200), missing="1..5", rho=None),
+]
+
+
+@pytest.mark.parametrize("sweep", SWEEP_CONFIGS, ids=lambda c: c["sweep"])
+def test_rows_do_not_depend_on_the_other_seeds(sweep):
+    """A seed's row is the same whether its value's other trials share its operator or not."""
+    seeds = (5, 6, 7)
+    base = dict(omega=0.25 * np.pi, synth_band=0.2 * np.pi, **sweep)
+    together = run_experiment(ExperimentConfig(seeds=seeds, **base))["rows"]
+    alone = [row for s in seeds for row in run_experiment(ExperimentConfig(seeds=(s,), **base))["rows"]]
+    strip = lambda row: {k: v for k, v in row.items() if k != "wall_ms"}
+    key = lambda row: (row["value"], row["seed"])
+    assert [key(r) for r in together] == [(v, s) for v in sweep["values"] for s in seeds]
+    assert sorted(map(strip, together), key=key) == sorted(map(strip, alone), key=key)
+    if sweep["sweep"] == "noise":
+        assert all(r["perturbation"] > 0 for r in together if r["value"] > 0)
+
+
+def test_trials_are_generated_one_at_a_time():
+    """The peak of a noisy sweep does not grow with its number of trials."""
+    def peak(trials):
+        config = ExperimentConfig(sweep="noise", values=(0.1,), seeds=tuple(range(trials)),
+                                  omega=0.25 * np.pi, synth_band=0.2 * np.pi, window=250_000)
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(10) <= 1.05 * peak(2)

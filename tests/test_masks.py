@@ -1,11 +1,16 @@
 """Window/mask geometry, the mask map, the half-line predicate, and spec parsing."""
 
+import itertools
+import math
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bandgap import (
+    BandgapError,
     GeometryError,
     IndexWindow,
     ParameterError,
@@ -15,7 +20,7 @@ from bandgap import (
     observed_halfline_exists,
     parse_missing_spec,
 )
-from bandgap.masks import MAX_MISSING, MAX_WINDOW_SIZE
+from bandgap.masks import MAX_MISSING, MAX_WINDOW_SIZE, _parse_1d_token
 
 
 class TestWindow:
@@ -276,3 +281,59 @@ class TestMissingSpec:
                      f"1..10, 0..{10**30}", "0..99999999 x 0..99999999"]:
             with pytest.raises(GeometryError, match=str(MAX_MISSING)):
                 parse_missing_spec(spec)
+
+
+def _reference_split(text):
+    """The former splitter: commas split only outside parentheses, which must balance."""
+    parts, depth, cur = [], 0, []
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise ParameterError(f"unbalanced parentheses in missing spec {text!r}")
+        elif ch == "," and depth == 0:
+            parts.append("".join(cur))
+            cur = []
+            continue
+        cur.append(ch)
+    if depth != 0:
+        raise ParameterError(f"unbalanced parentheses in missing spec {text!r}")
+    parts.append("".join(cur))
+    return [p.strip() for p in parts if p.strip()]
+
+
+def _reference_parse(text):
+    """The former parse_missing_spec, built on the depth-tracking splitter."""
+    out, dims = [], set()
+    for token in _reference_split(text):
+        inner = token[1:-1].strip() if token.startswith("(") and token.endswith(")") else token
+        parts = re.split(r"\bx\b", inner, maxsplit=1)
+        axes = [_parse_1d_token(p) for p in parts] if len(parts) == 2 else [_parse_1d_token(token)]
+        dims.add(len(axes))
+        if len(out) + math.prod(r.stop - r.start for r in axes) > MAX_MISSING:
+            raise GeometryError("too many")
+        out.extend(itertools.product(*axes) if len(axes) == 2 else axes[0])
+    if len(dims) > 1:
+        raise ParameterError("mixed")
+    return out
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except BandgapError:
+        return "rejected"
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.text(alphabet="0123456789-.,()x ", max_size=24))
+@example("(-3..-1),(5)")
+@example(" 1 , ,2..3,")
+@example("0..1 x 0..1, (2 x 3)")
+@example("(1,2)")
+@example("((1)")
+def test_plain_comma_split_accepts_what_the_depth_tracking_split_did(text):
+    """A comma inside parentheses never parsed, so splitting on every comma changes no outcome."""
+    assert _outcome(parse_missing_spec, text) == _outcome(_reference_parse, text)

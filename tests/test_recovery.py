@@ -209,6 +209,15 @@ class TestRecover2D:
         expected = recover_single_value(s1, 7, BandLimit.from_pi_fraction(0.25))
         assert sol2.values[(3, 7)] == pytest.approx(expected, abs=1e-10)
 
+    @pytest.mark.parametrize("lo, hi, gap", [((3, -20), (3, 20), (3, 2)), ((-20, 3), (20, 3), (2, 3))],
+                             ids=["one-row", "one-column"])
+    def test_one_line_grid_needs_two_bands(self, lo, hi, gap):
+        w = IndexWindow(lo, hi)
+        problem = RecoveryProblem(series=Series.zeros(w), mask=make_mask(w, [gap]),
+                                  omega=BandLimit.from_pi_fraction(0.5))
+        with pytest.raises(ParameterError, match="dimensionality"):
+            recover(problem)
+
     def test_separable_field_block_recovery(self):
         frac1, frac2 = 0.2, 0.2
         half = 200

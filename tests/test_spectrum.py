@@ -140,11 +140,12 @@ class TestSpectrumCount:
                            for i, a in enumerate(one_by_one) for b in one_by_one[i + 1:])
             assert distance == expected
 
-    def test_one_per_noisy_lab_trial(self, counts):
-        config = ExperimentConfig(sweep="noise", values=(0.1,), seeds=(3, 4), omega=0.25 * np.pi,
+    def test_one_per_lab_sweep_value(self, counts):
+        config = ExperimentConfig(sweep="noise", values=(0.0, 0.1), seeds=(3, 4), omega=0.25 * np.pi,
                                   synth_band=0.2 * np.pi, missing="1..5", window=60, rho=0.0)
         report = run_experiment(config)
         assert counts == {"eigvalsh": 0, "factor": 2}
+        assert len(report["rows"]) == 4
         op = assemble_operator(make_mask(IndexWindow(-60, 60), range(1, 6)), OMEGA)
         for row in report["rows"]:
             assert row["perturbation_bound"] == error_bound(op, 0.0, row["eta_norm"])
