@@ -268,7 +268,7 @@ def cmd_simulate(args) -> int:
     doc = _load_run_config(args.config)
     try:
         config = ExperimentConfig.from_json_dict(doc)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"bad experiment config: {exc}") from exc
     report = run_experiment(config)
     report["version"] = __version__

@@ -1,10 +1,8 @@
 """Test-signal synthesis, noise injection, the brute-force oracle, and experiments.
 
-Two signal families cover exactness and realism: `sinc_mixture` builds
-finite combinations of shifted low-pass kernels (band-limited by
-construction, so ground truth at any index is a closed form), while
-`lowpassed_noise` low-pass filters seeded white noise over a padded window
-(band-limited up to truncation tails, closer to a Monte-Carlo sequence).
+Test signals are sinc mixtures: finite combinations of shifted low-pass
+kernels, band-limited by construction, so ground truth at any index is a
+closed form.
 
 `oracle_recover` re-solves the recovery problem by a completely different
 route: it parameterizes a real band-limited sequence by cosine/sine
@@ -20,7 +18,8 @@ equations.  The normal matrix is diagonal plus a rank-|M| correction, so
 the solve goes through the Woodbury identity, which keeps very fine grids
 affordable; grids this fine are what the refinement gate (output change
 <= 1e-8 under grid doubling) requires.  Nothing from the operator or
-solver modules is used on this path.
+solver modules is used on this path; rho is resolved by the pipeline's own
+`resolve_rho`, default policy included.
 
 `run_experiment` sweeps window size, noise level, ridge weight, or gap
 size over seeded Monte-Carlo trials and aggregates error metrics.  It is a
@@ -33,15 +32,16 @@ wall-clock fields are the only nondeterministic part of a report).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .errors import BandgapError, GeometryError, OracleConditioningError, ParameterError
-from .kernel import BandLimit, kernel_profile, lowpass_filter
+from .kernel import BandLimit, kernel_profile
 from .masks import IndexWindow, ObservationMask, make_mask, parse_missing_spec
-from .recovery import RecoveryProblem, RecoverySolution, default_rho, recover_all
+from .recovery import RecoveryProblem, RecoverySolution, recover_all, resolve_rho
 from .series import Series
 
 RNG_ALGORITHM = "numpy.random.Generator(PCG64)"
@@ -58,34 +58,22 @@ ORACLE_CONDITION_LIMIT = 1e12
 
 @dataclass
 class SignalSpec:
-    """Recipe for a synthetic 1D test signal.
+    """Recipe for a synthetic 1D sinc mixture: amplitudes times kernels shifted to centers.
 
-    kind: "sinc_mixture" (centers/amplitudes) or "lowpassed_noise"
-        (seed, pad).  `band` is the synthesis cutoff; keep it at or below
-        the recovery cutoff when exact-recovery checks are intended.
+    `band` is the synthesis cutoff; keep it at or below the recovery cutoff
+    when exact-recovery checks are intended.
     """
 
-    kind: str
     band: BandLimit
     window: IndexWindow
-    centers: tuple[int, ...] = ()
-    amplitudes: tuple[float, ...] = ()
-    seed: int | None = None
-    pad: int = 256
+    centers: tuple[int, ...]
+    amplitudes: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind not in ("sinc_mixture", "lowpassed_noise"):
-            raise ParameterError(f"unknown signal kind {self.kind!r}")
         if self.band.ndim != 1 or self.window.ndim != 1:
             raise ParameterError("signal synthesis is 1D")
-        if self.kind == "sinc_mixture":
-            if len(self.centers) == 0 or len(self.centers) != len(self.amplitudes):
-                raise ParameterError("sinc_mixture needs matching nonempty centers/amplitudes")
-        else:
-            if self.seed is None:
-                raise ParameterError("lowpassed_noise needs a seed")
-            if self.pad < 0:
-                raise ParameterError("pad must be nonnegative")
+        if len(self.centers) == 0 or len(self.centers) != len(self.amplitudes):
+            raise ParameterError("a sinc mixture needs matching nonempty centers/amplitudes")
 
 
 def sinc_mixture_values(band: BandLimit, centers, amplitudes, ts: np.ndarray) -> np.ndarray:
@@ -98,15 +86,9 @@ def sinc_mixture_values(band: BandLimit, centers, amplitudes, ts: np.ndarray) ->
 
 
 def gen_bandlimited(spec: SignalSpec) -> Series:
-    """Synthesize a band-limited series on the spec's window (deterministic per seed)."""
-    window = spec.window
-    ts = window.lo + np.arange(window.checked_size())
-    if spec.kind == "sinc_mixture":
-        return Series(window=window, values=sinc_mixture_values(spec.band, spec.centers, spec.amplitudes, ts))
-    rng = np.random.default_rng(spec.seed)
-    (w,) = spec.band.axes
-    noise = rng.standard_normal(len(ts) + 2 * spec.pad)
-    return Series(window=window, values=lowpass_filter(w, noise, spec.pad + np.arange(len(ts))))
+    """The spec's sinc mixture on its window."""
+    ts = spec.window.lo + np.arange(spec.window.checked_size())
+    return Series(window=spec.window, values=sinc_mixture_values(spec.band, spec.centers, spec.amplitudes, ts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +107,8 @@ def add_noise(series: Series, sigma: float, seed: int | None, mask: ObservationM
     With a mask, only observed entries are perturbed and eta_norm counts
     exactly those; without one, every window entry is treated as observed.
     """
-    if sigma < 0:
-        raise ParameterError("sigma must be nonnegative")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ParameterError(f"sigma must be a finite nonnegative number, not {sigma}")
     if mask is not None and mask.window != series.window:
         raise GeometryError("mask and series windows differ")
     if sigma == 0:
@@ -160,10 +142,7 @@ def _oracle_inputs(problem: RecoveryProblem, grid: int):
         )
     if problem.series.window != window:
         raise GeometryError("series and mask are defined on different windows")
-    rho = problem.rho if problem.rho is not None else default_rho(problem.mask.n_missing)
-    if rho < 0:
-        raise ParameterError("rho must be nonnegative")
-    return window, float(rho)
+    return window, resolve_rho(problem)
 
 
 def oracle_recover(problem: RecoveryProblem, grid: int = ORACLE_DEFAULT_GRID) -> RecoverySolution:
@@ -256,7 +235,8 @@ class ExperimentConfig:
 
     sweep: "window" (half-width), "noise" (sigma), "rho", or "gap" (|M|).
     values: strictly increasing sweep values, converted on construction to
-        int (window, gap) or float (noise, rho).
+        int (window, gap) or float (noise, rho).  Sigma, rho and noise or
+        rho values must be finite and nonnegative.
     seeds: one seed per trial (a plain `seed` in JSON is expanded to
         seed, seed+1, ...).  omega and synth_band are radians here; the
         JSON form uses fractions of pi.
@@ -278,7 +258,7 @@ class ExperimentConfig:
         convert = int if self.sweep in ("window", "gap") else float
         try:
             self.values = tuple(convert(v) for v in self.values)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"{self.sweep} sweep values must be numbers: {exc}") from exc
         if len(self.values) == 0:
             raise ParameterError("sweep values must be nonempty")
@@ -286,10 +266,11 @@ class ExperimentConfig:
             raise ParameterError("sweep values must be strictly increasing")
         if len(self.seeds) < 1:
             raise ParameterError("at least one trial seed is required")
-        if self.sigma < 0 or (self.rho is not None and self.rho < 0):
-            raise ParameterError("sigma and rho must be nonnegative")
-        if self.sweep in ("noise", "rho") and self.values[0] < 0:
-            raise ParameterError(f"{self.sweep} sweep values must be nonnegative")
+        numbers = [self.sigma, 0.0 if self.rho is None else self.rho]
+        if self.sweep in ("noise", "rho"):
+            numbers.extend(self.values)
+        if not all(math.isfinite(x) and x >= 0 for x in numbers):
+            raise ParameterError("sigma, rho and noise or rho sweep values must be finite nonnegative numbers")
         if self.sweep == "gap" and self.values[0] < 1:
             raise ParameterError("gap sweep values must be at least 1")
 
@@ -333,8 +314,7 @@ def _trial_signal(band: BandLimit, window: IndexWindow, seed: int) -> SignalSpec
     n_pulses = int(rng.integers(2, 5))
     centers = tuple(int(c) for c in rng.integers(-20, 21, size=n_pulses))
     amplitudes = tuple(float(a) for a in rng.uniform(-1.0, 1.0, size=n_pulses))
-    return SignalSpec(kind="sinc_mixture", band=band, window=window,
-                      centers=centers, amplitudes=amplitudes)
+    return SignalSpec(band=band, window=window, centers=centers, amplitudes=amplitudes)
 
 
 def _value_rows(config: ExperimentConfig, value, missing: list, synth_band: BandLimit,
@@ -383,8 +363,8 @@ def _value_rows(config: ExperimentConfig, value, missing: list, synth_band: Band
         y_final = y_clean
         if eta_norm is not None:
             y_final = next(solutions).vector()
-            # error_bound's eta / (1 + rho - ||A||), from the clean solve's margin.
-            bound = eta_norm / (1.0 + report.rho - diag.spectral_norm)
+            # error_bound's eta / margin, from the clean solve's diagnostics.
+            bound = eta_norm / diag.margin
             deviation = float(np.linalg.norm(y_final - y_clean))
             row.update(eta_norm=eta_norm, perturbation=deviation, perturbation_bound=bound,
                        bound_violation=int(deviation > bound * (1.0 + 1e-9)))

@@ -25,13 +25,14 @@ computed only where it is the output (`eigenvalues`).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GeometryError, ParameterError
+from .errors import GeometryError, ParameterError, SolverError
 from .kernel import BandLimit, kernel_profile, lowpass_filter
-from .masks import MAX_MISSING, Index, ObservationMask, apply_mask
+from .masks import MAX_MISSING, MAX_WINDOW_SIZE, ObservationMask, apply_mask
 from .series import Series
 
 # Entries of A filled per block of rows; the block's lag and kernel-value
@@ -49,7 +50,7 @@ LANCZOS_TOL = 1e-13
 
 @dataclass(frozen=True, eq=False)
 class GapOperator:
-    """Gap matrix over M x M, optional right-hand side, and the index order binding them.
+    """Gap matrix over M x M, in the mask's canonical order, and an optional right-hand side.
 
     The matrix is made read-only at construction.  Values computed from it
     alone are memoised by :meth:`derived` and shared with every copy that
@@ -57,8 +58,6 @@ class GapOperator:
     """
 
     matrix: np.ndarray
-    order: tuple[Index, ...]
-    omega: BandLimit
     rhs: np.ndarray | None = None
     _derived: dict = field(default_factory=dict, repr=False)
 
@@ -74,17 +73,6 @@ class GapOperator:
         if key not in self._derived:
             self._derived[key] = compute()
         return self._derived[key]
-
-    @property
-    def spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues, from one `np.linalg.eigvalsh` on first use (read-only)."""
-
-        def compute():
-            evs = np.linalg.eigvalsh(self.matrix)
-            evs.flags.writeable = False
-            return evs
-
-        return self.derived("spectrum", compute)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,6 +103,9 @@ class CholeskyFactor:
 
 @dataclass(frozen=True)
 class OperatorDiagnostics:
+    """Spectral facts of one operator at one rho; `margin` = 1 + rho - ||A|| is 0 or above |M| eps (1+rho)."""
+
+    margin: float
     spectral_norm: float
     min_eig_I_minus_A: float
     symmetry_defect: float
@@ -134,8 +125,9 @@ def assemble_operator(mask: ObservationMask, omega: BandLimit) -> GapOperator:
     Entries are looked up per axis in a table of h over the lags
     0..max|t_i - t_j|, so the matrix is exactly symmetric and equal entry
     for entry to evaluating h on every pair; for a contiguous 1D missing
-    set it is Toeplitz.  A missing set larger than MAX_MISSING is a
-    GeometryError, raised before the matrix is allocated.
+    set it is Toeplitz.  A missing set larger than MAX_MISSING, or one whose
+    span along an axis needs a table longer than MAX_WINDOW_SIZE, is a
+    GeometryError, raised before anything is allocated.
     """
     _check_dims(mask, omega)
     if mask.n_missing == 0:
@@ -147,15 +139,20 @@ def assemble_operator(mask: ObservationMask, omega: BandLimit) -> GapOperator:
         )
     coords = mask.offsets
     m = len(coords)
-    tables = [kernel_profile(w, np.arange(np.ptp(coords[:, axis]) + 1))
-              for axis, w in enumerate(omega.axes)]
+    spans = np.ptp(coords, axis=0)
+    if spans.max() >= MAX_WINDOW_SIZE:
+        raise GeometryError(
+            f"missing indices span {spans.max()} along one axis; the lag table of the gap "
+            f"matrix is capped at {MAX_WINDOW_SIZE} entries per axis"
+        )
+    tables = [kernel_profile(w, np.arange(span + 1)) for w, span in zip(omega.axes, spans)]
     matrix = np.ones((m, m))
     step = max(1, BLOCK_ENTRIES // m)
     for start in range(0, m, step):
         rows = slice(start, start + step)
         for table, t in zip(tables, coords.T):
             matrix[rows] *= table[np.abs(t[rows, None] - t[None, :])]
-    return GapOperator(matrix=matrix, order=mask.missing, omega=omega)
+    return GapOperator(matrix=matrix)
 
 
 def assemble_rhs(series: Series, mask: ObservationMask, omega: BandLimit) -> np.ndarray:
@@ -189,19 +186,32 @@ def with_rhs(op: GapOperator, rhs: np.ndarray) -> GapOperator:
 
 
 def eigenvalues(op: GapOperator) -> np.ndarray:
-    """Ascending eigenvalues of the (symmetric) gap matrix; the operator's cached spectrum."""
-    return op.spectrum
+    """Ascending eigenvalues of the (symmetric) gap matrix, one `eigvalsh` per matrix (read-only)."""
+
+    def compute():
+        evs = np.linalg.eigvalsh(op.matrix)
+        evs.flags.writeable = False
+        return evs
+
+    return op.derived("spectrum", compute)
 
 
 def diagnostics(op: GapOperator, rho: float = 0.0) -> OperatorDiagnostics:
-    """Spectral norm, smallest eigenvalue of I - A, and the exact symmetry defect.
+    """The margin 1 + rho - ||A||, ||A||, the smallest eigenvalue of I - A, and the symmetry defect.
 
-    The margin 1 + rho - ||A|| is lambda_min((1+rho)I - A), computed once per
-    matrix and rho from the operator's Cholesky factor at that rho; then
-    ||A|| = 1 + rho - margin.  A factorization that fails, or a margin of at
-    most |M| eps (1+rho), is below working precision and counts as a margin
-    of 0, so `min_eig_I_minus_A` = max(0, 1 - ||A||) is never negative.
+    The one gate between an operator and what uses its margin: a rho that
+    is not a finite nonnegative number is a ParameterError, and a matrix
+    with a non-finite entry a SolverError (checked once per matrix).  The
+    margin is lambda_min((1+rho)I - A), computed once per matrix and rho
+    from the operator's Cholesky factor at that rho; then ||A|| = 1 + rho -
+    margin.  A factorization that fails, or a margin of at most |M| eps
+    (1+rho), is below working precision and counts as a margin of 0, so
+    `min_eig_I_minus_A` = max(0, 1 - ||A||) is never negative.
     """
+    if not (math.isfinite(rho) and rho >= 0):
+        raise ParameterError(f"rho must be a finite nonnegative number, not {rho}")
+    if not op.derived("finite", lambda: bool(np.all(np.isfinite(op.matrix)))):
+        raise SolverError("non-finite entries in the gap matrix")
     return op.derived(("diagnostics", rho), lambda: _diagnostics(op, rho))
 
 
@@ -278,6 +288,7 @@ def _diagnostics(op: GapOperator, rho: float) -> OperatorDiagnostics:
         margin = 0.0
     spectral_norm = 1.0 + rho - margin
     return OperatorDiagnostics(
+        margin=margin,
         spectral_norm=spectral_norm,
         min_eig_I_minus_A=max(0.0, 1.0 - spectral_norm),
         symmetry_defect=op.derived("symmetry_defect", lambda: _symmetry_defect(op.matrix)),

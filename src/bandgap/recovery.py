@@ -18,6 +18,7 @@ the 1D path when the window is a single row or column.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
@@ -82,10 +83,11 @@ class RecoverySolution:
         return np.array(list(self.values.values()), dtype=np.float64)
 
 
-def _resolve_rho(problem: RecoveryProblem) -> float:
+def resolve_rho(problem: RecoveryProblem) -> float:
+    """The problem's rho, or the default policy's; anything but a finite nonnegative number is refused."""
     rho = problem.rho if problem.rho is not None else default_rho(problem.mask.n_missing)
-    if rho < 0:
-        raise ParameterError("rho must be nonnegative")
+    if not (math.isfinite(rho) and rho >= 0):
+        raise ParameterError(f"rho must be a finite nonnegative number, not {rho}")
     return float(rho)
 
 
@@ -107,7 +109,7 @@ def _pipeline(first: RecoveryProblem) -> Callable[[RecoveryProblem], RecoverySol
         raise GeometryError("series and mask are defined on different windows")
     if omega.ndim != window.ndim:
         raise ParameterError("band limit dimensionality does not match the window")
-    rho = _resolve_rho(first)
+    rho = resolve_rho(first)
     shared = (mask, omega, first.rho)
 
     collapse = window.ndim == 2 and window.size > 1 and 1 in window.shape

@@ -12,6 +12,7 @@ direct solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,32 +52,23 @@ class SolveReport:
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _validate(op: GapOperator, rho: float) -> np.ndarray:
-    if rho < 0:
-        raise ParameterError("rho must be nonnegative")
+def _rhs(op: GapOperator) -> np.ndarray:
     if op.rhs is None:
         raise SolverError("operator has no right-hand side attached")
-    # The matrix is read-only, so its check is made once; the rhs is checked per solve.
-    finite_matrix = op.derived("finite", lambda: bool(np.all(np.isfinite(op.matrix))))
-    if not finite_matrix or not np.all(np.isfinite(op.rhs)):
-        raise SolverError("non-finite entries in the system")
+    if not np.all(np.isfinite(op.rhs)):
+        raise SolverError("non-finite entries in the right-hand side")
     return np.asarray(op.rhs, dtype=np.float64)
 
 
-def _margin_and_warnings(op: GapOperator, rho: float) -> tuple[float, list[str]]:
-    margin = 1.0 + rho - diagnostics(op, rho).spectral_norm
-    if margin <= 0:
+def _margin(op: GapOperator, rho: float) -> float:
+    """The margin of the operator's `diagnostics` record; one of 0 is a SolverError."""
+    margin = diagnostics(op, rho).margin
+    if margin == 0.0:
         raise SolverError(
             "system is singular to working precision at this rho: "
             "1 + rho - ||A|| is at most |M| eps (1 + rho)"
         )
-    warnings = []
-    if margin < CONDITION_WARN_THRESHOLD:
-        warnings.append(
-            f"ill-conditioned system: 1 + rho - ||A|| = {margin:.3e} below threshold "
-            f"{CONDITION_WARN_THRESHOLD:.1e}"
-        )
-    return margin, warnings
+    return margin
 
 
 def _residual(op: GapOperator, rho: float, y: np.ndarray) -> float:
@@ -88,6 +80,17 @@ def _residual(op: GapOperator, rho: float, y: np.ndarray) -> float:
     return residual
 
 
+def _report(op: GapOperator, rho: float, margin: float, y: np.ndarray, iterations: int,
+            method: str) -> SolveReport:
+    """A solve's report: its residual, the norm bound 1/margin, and an ill-conditioning warning."""
+    warnings = ()
+    if margin < CONDITION_WARN_THRESHOLD:
+        warnings = (f"ill-conditioned system: 1 + rho - ||A|| = {margin:.3e} below threshold "
+                    f"{CONDITION_WARN_THRESHOLD:.1e}",)
+    return SolveReport(y=y, residual=_residual(op, rho, y), iterations=iterations,
+                       norm_bound=1.0 / margin, rho=rho, method=method, warnings=warnings)
+
+
 def solve_direct(op: GapOperator, rho: float) -> SolveReport:
     """Solve ((1+rho)I - A) y = a by Cholesky factorization.
 
@@ -95,18 +98,8 @@ def solve_direct(op: GapOperator, rho: float) -> SolveReport:
     same matrix and rho (operators made by `with_rhs`) cost two blocked
     triangular solves each.
     """
-    a = _validate(op, rho)
-    margin, warnings = _margin_and_warnings(op, rho)
-    y = cholesky(op, rho).solve(a)
-    return SolveReport(
-        y=y,
-        residual=_residual(op, rho, y),
-        iterations=0,
-        norm_bound=1.0 / margin,
-        rho=rho,
-        method="direct",
-        warnings=tuple(warnings),
-    )
+    margin = _margin(op, rho)
+    return _report(op, rho, margin, cholesky(op, rho).solve(_rhs(op)), 0, "direct")
 
 
 def solve_neumann(op: GapOperator, rho: float, config: SolverConfig | None = None) -> SolveReport:
@@ -119,11 +112,9 @@ def solve_neumann(op: GapOperator, rho: float, config: SolverConfig | None = Non
     which is orders of magnitude above tol when ||A|| is close to 1.
     """
     config = config or SolverConfig()
-    a = _validate(op, rho)
-    margin, warnings = _margin_and_warnings(op, rho)
-    q = (1.0 + rho - margin) / (1.0 + rho)
-    if not (q < 1.0):
-        raise SolverError(f"contraction factor ||A||/(1+rho) = {q:.6f} is not below 1")
+    margin = _margin(op, rho)
+    a = _rhs(op)
+    q = (1.0 + rho - margin) / (1.0 + rho)  # below 1, as the margin is positive
     threshold = config.tol * min(1.0, (1.0 - q) / q) if q > 0 else config.tol
     scale = 1.0 / (1.0 + rho)
     y = scale * a
@@ -133,15 +124,7 @@ def solve_neumann(op: GapOperator, rho: float, config: SolverConfig | None = Non
         step = float(np.linalg.norm(y_next - y))
         y = y_next
         if step <= threshold:
-            return SolveReport(
-                y=y,
-                residual=_residual(op, rho, y),
-                iterations=iterations,
-                norm_bound=1.0 / margin,
-                rho=rho,
-                method="neumann",
-                warnings=tuple(warnings),
-            )
+            return _report(op, rho, margin, y, iterations, "neumann")
         iterations += 1
     raise NonConvergenceError(
         f"no convergence after {config.max_iter} iterations (last step {step:.3e}, "
@@ -155,14 +138,10 @@ def solve_neumann(op: GapOperator, rho: float, config: SolverConfig | None = Non
 def error_bound(op: GapOperator, rho: float, eta_norm: float) -> float:
     """Worst-case output perturbation for an input perturbation of norm eta_norm.
 
-    Returns eta_norm / (1 + rho - ||A||); raises when 1 + rho <= ||A||,
-    where no such bound is available.
+    Returns eta_norm / margin, with the margin 1 + rho - ||A|| of
+    `diagnostics(op, rho)`; a margin of 0 has no such bound and is a
+    SolverError.
     """
-    if eta_norm < 0:
-        raise ParameterError("perturbation norm must be nonnegative")
-    if rho < 0:
-        raise ParameterError("rho must be nonnegative")
-    margin = 1.0 + rho - diagnostics(op, rho).spectral_norm
-    if margin <= 0:
-        raise SolverError("bound unavailable: 1 + rho <= ||A||")
-    return eta_norm / margin
+    if not (math.isfinite(eta_norm) and eta_norm >= 0):
+        raise ParameterError(f"perturbation norm must be a finite nonnegative number, not {eta_norm}")
+    return eta_norm / _margin(op, rho)

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,36 @@ def run_traced(argv, capsys):
     finally:
         tracemalloc.stop()
     return code, json.loads(capsys.readouterr().err)["error"], peak
+
+
+def run_refused(argv, capsys):
+    """Exit code, the one JSON line on stderr, and peak traced allocation; no warning may fire."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    lines = capsys.readouterr().err.splitlines()
+    assert caught == [] and len(lines) == 1
+    return code, json.loads(lines[0])["error"], peak
+
+
+@pytest.mark.parametrize("rho", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["recover", "forecast"])
+def test_nonfinite_rho_is_parameter_error(series_121, tmp_path, capsys, command, rho):
+    if command == "recover":
+        argv = ["recover", "--input", series_121[1], "--missing", "1..12", "--omega", "0.25"]
+    else:
+        past = tmp_path / "past.csv"
+        write_series_csv(Series.zeros(IndexWindow(-60, 0)), past)
+        argv = ["forecast", "--input", str(past)]
+    code, error, peak = run_refused(argv + ["--rho", rho], capsys)
+    assert code == 2 and error["category"] == "parameter"
+    assert "finite nonnegative" in error["message"]
+    assert peak < 16 * 2**20
 
 
 class TestRecoverCommand:
@@ -353,6 +384,13 @@ class TestDiagnoseCommand:
                     "--omega", "0.5", "--omega2", "0.5", "--output", str(out)]) == 0
         assert json.loads(out.read_text())["diagnostics"]["spectrum"] == pytest.approx([0.25, 0.25])
 
+    def test_far_apart_missing_is_geometry_error(self, capsys):
+        code, error, peak = run_refused(["diagnose", "--missing", "0, 400000000", "--omega", "0.5"],
+                                        capsys)
+        assert code == 3 and error["category"] == "geometry"
+        assert "400000000" in error["message"] and str(MAX_WINDOW_SIZE) in error["message"]
+        assert peak < 16 * 2**20  # the lag table alone would take 2.98 GiB
+
     def test_empty_missing_without_sweep(self):
         assert run(["diagnose", "--omega", "0.25"]) == 3
 
@@ -396,6 +434,20 @@ class TestSimulateCommand:
         config.write_text(json.dumps({"sweep": "noise", "values": [0.1], "trials": 2, "omega": 0.25,
                                       "synth_band": 0.2, "window": 50, **fields}))
         code, error, peak = run_traced(["simulate", "--config", str(config)], capsys)
+        assert code == 2 and error["category"] == "parameter"
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("fields", [{"rho": math.nan}, {"sigma": math.nan}, {"window": math.inf},
+                                        {"values": [0.1, math.inf]},
+                                        {"sweep": "rho", "values": [math.nan]},
+                                        {"sweep": "rho", "values": [0.0, math.inf]}],
+                             ids=["rho", "sigma", "window", "sigma-value", "rho-nan", "rho-inf"])
+    def test_nonfinite_config_is_parameter_error(self, tmp_path, capsys, fields):
+        config = tmp_path / "nonfinite.json"
+        config.write_text(json.dumps({"sweep": "noise", "values": [0.1], "trials": 2, "omega": 0.25,
+                                      "synth_band": 0.2, "window": 50, **fields}))
+        assert "NaN" in config.read_text() or "Infinity" in config.read_text()
+        code, error, peak = run_refused(["simulate", "--config", str(config)], capsys)
         assert code == 2 and error["category"] == "parameter"
         assert peak < 16 * 2**20
 

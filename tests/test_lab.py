@@ -35,7 +35,7 @@ OMEGA = BandLimit.from_pi_fraction(0.25)
 class TestGenBandlimited:
     def test_single_pulse_is_kernel(self):
         w = IndexWindow(-50, 50)
-        spec = SignalSpec(kind="sinc_mixture", band=OMEGA, window=w, centers=(0,), amplitudes=(1.0,))
+        spec = SignalSpec(band=OMEGA, window=w, centers=(0,), amplitudes=(1.0,))
         s = gen_bandlimited(spec)
         ts = np.arange(-50, 51)
         assert np.max(np.abs(s.values - kernel_profile(0.25 * math.pi, ts))) == 0.0
@@ -43,7 +43,7 @@ class TestGenBandlimited:
     def test_mixture_is_projection_fixed_point(self):
         half = 2000
         w = IndexWindow(-half, half)
-        spec = SignalSpec(kind="sinc_mixture", band=OMEGA, window=w,
+        spec = SignalSpec(band=OMEGA, window=w,
                           centers=(-11, 2, 9), amplitudes=(0.5, 1.0, -0.25))
         s = gen_bandlimited(spec)
         ts = np.arange(-half, half + 1)
@@ -51,23 +51,10 @@ class TestGenBandlimited:
             conv = float(kernel_profile(0.25 * math.pi, t - ts) @ s.values)
             assert conv == pytest.approx(s.value_at(t), rel=1e-2)
 
-    def test_lowpassed_noise_deterministic(self):
-        w = IndexWindow(-100, 100)
-        spec = SignalSpec(kind="lowpassed_noise", band=OMEGA, window=w, seed=99)
-        a = gen_bandlimited(spec)
-        b = gen_bandlimited(spec)
-        assert np.array_equal(a.values, b.values)
-        c = gen_bandlimited(SignalSpec(kind="lowpassed_noise", band=OMEGA, window=w, seed=100))
-        assert not np.array_equal(a.values, c.values)
-
     def test_spec_validation(self):
         w = IndexWindow(-10, 10)
         with pytest.raises(ParameterError):
-            SignalSpec(kind="white", band=OMEGA, window=w)
-        with pytest.raises(ParameterError):
-            SignalSpec(kind="sinc_mixture", band=OMEGA, window=w, centers=(0,), amplitudes=())
-        with pytest.raises(ParameterError):
-            SignalSpec(kind="lowpassed_noise", band=OMEGA, window=w)
+            SignalSpec(band=OMEGA, window=w, centers=(0,), amplitudes=())
 
 
 class TestAddNoise:
@@ -107,6 +94,13 @@ class TestOracle:
         problem = RecoveryProblem(series=Series.zeros(w), mask=mask, omega=OMEGA, rho=0.0)
         sol = oracle_recover(problem, grid=2000)
         assert sol.values[0] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -1.0])
+    def test_rho_is_resolved_as_by_the_pipeline(self, rho):
+        w = IndexWindow(-32, 32)
+        problem = RecoveryProblem(series=Series.zeros(w), mask=make_mask(w, [0]), omega=OMEGA, rho=rho)
+        with pytest.raises(ParameterError, match="finite nonnegative"):
+            oracle_recover(problem, grid=2000)
 
     def test_singleton_matches_closed_form(self):
         rng = np.random.default_rng(6)
@@ -292,7 +286,13 @@ class TestExperiments:
         for sweep, values, extra in (("window", ("a",), {}), ("noise", (None,), {}),
                                      ("noise", (-0.1, 0.1), {}), ("rho", (-1.0,), {}),
                                      ("gap", (0, 5), {}), ("window", (250,), {"sigma": -0.1}),
-                                     ("window", (250,), {"rho": -1e-4})):
+                                     ("window", (250,), {"rho": -1e-4}),
+                                     ("rho", (math.nan,), {}), ("rho", (0.0, math.inf), {}),
+                                     ("noise", (math.nan,), {}), ("noise", (0.1, math.inf), {}),
+                                     ("window", (math.inf,), {}), ("window", (250,), {"sigma": math.nan}),
+                                     ("window", (250,), {"sigma": math.inf}),
+                                     ("window", (250,), {"rho": math.nan}),
+                                     ("window", (250,), {"rho": math.inf})):
             with pytest.raises(ParameterError):
                 ExperimentConfig(sweep=sweep, values=values, **base, **extra)
 

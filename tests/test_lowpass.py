@@ -1,7 +1,7 @@
 """The FFT low-pass primitive against dense kernel sums kept only here.
 
-`assemble_rhs`, `assemble_operator` and the lowpassed-noise generator all
-reduce to kernel-weighted sums over a window.  The references below write
+`assemble_rhs` and `assemble_operator` both reduce to kernel-weighted sums
+over a window.  The references below write
 those sums out as dense lag matrices, the O(|M| N) form the package no
 longer uses, and the properties compare the two on random windows,
 cutoffs and masks: length-1 windows, gaps on the window edges, and fully
@@ -23,10 +23,8 @@ from bandgap import (
     BandLimit,
     IndexWindow,
     Series,
-    SignalSpec,
     assemble_operator,
     assemble_rhs,
-    gen_bandlimited,
     make_mask,
 )
 from bandgap.kernel import kernel_profile, lowpass_filter
@@ -180,15 +178,6 @@ def test_rhs_at_window_1e5_gaps_2e3_stays_small():
     for k in (0, 999, 1999):
         expected = float(h(omega, mask.missing[k] - ts) @ masked)
         assert abs(rhs[k] - expected) <= tolerance(series.values)
-
-
-def test_lowpassed_noise_equals_dense_filter():
-    window = IndexWindow(-30, 40)
-    spec = SignalSpec(kind="lowpassed_noise", band=BandLimit(0.7), window=window, seed=8, pad=25)
-    noise = np.random.default_rng(8).standard_normal(71 + 2 * 25)
-    src = np.arange(-30 - 25, 40 + 25 + 1)
-    expected = h(0.7, np.arange(-30, 41)[:, None] - src[None, :]) @ noise
-    assert np.max(np.abs(gen_bandlimited(spec).values - expected)) <= tolerance(noise)
 
 
 def test_import_loads_no_scipy():

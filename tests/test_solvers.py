@@ -120,8 +120,7 @@ class TestDirect:
     def test_nonfinite_matrix_rejected(self):
         matrix = 0.1 * np.eye(3)
         matrix[0, 2] = np.nan
-        op = GapOperator(matrix=matrix, order=(0, 1, 2),
-                         omega=BandLimit.from_pi_fraction(0.25), rhs=np.ones(3))
+        op = GapOperator(matrix=matrix, rhs=np.ones(3))
         for solve in (solve_direct, solve_neumann):
             with pytest.raises(SolverError, match="non-finite"):
                 solve(op, rho=0.0)
@@ -227,10 +226,7 @@ class TestErrorBound:
     def test_unavailable_when_norm_reaches_one(self):
         # assembled operators always have ||A|| < 1; a hand-built unit-norm
         # matrix exercises the guard
-        from bandgap import BandLimit, GapOperator
-
-        op = GapOperator(matrix=np.eye(2), order=(0, 1),
-                         omega=BandLimit.from_pi_fraction(0.25), rhs=np.ones(2))
+        op = GapOperator(matrix=np.eye(2), rhs=np.ones(2))
         with pytest.raises(SolverError):
             error_bound(op, rho=0.0, eta_norm=1.0)
         with pytest.raises(SolverError):

@@ -103,7 +103,7 @@ class TestSpectrumCount:
     def test_with_rhs_copies_share_spectrum_and_factor(self, counts):
         problem = random_problem(4)
         op = assemble_operator(problem.mask, OMEGA)
-        norm = diagnostics(op).spectral_norm
+        margin = diagnostics(op).margin
         assert counts == {"eigvalsh": 0, "factor": 1}
         rhs = assemble_rhs(problem.series, problem.mask, OMEGA)
         first = solve_direct(with_rhs(op, rhs), 0.0)
@@ -114,7 +114,7 @@ class TestSpectrumCount:
         solve_neumann(with_rhs(op, 2.0 * rhs), 0.1)
         assert counts == {"eigvalsh": 0, "factor": 2}  # one factor per rho
         assert diagnostics(with_rhs(op, rhs), 0.1) is diagnostics(op, 0.1)
-        assert bound == 1.0 / (1.0 + 0.0 - norm)
+        assert bound == 1.0 / margin
         assert np.array_equal(first.y, fresh_solve(problem))
         assert np.array_equal(second.y, 2.0 * first.y)
 
@@ -204,18 +204,57 @@ class TestLanczosMargin:
         assert abs(margin - float(EIGVALSH(complement.matrix)[0])) <= 1e-13
 
 
+class TestStoredMargin:
+    """Every bound reads the margin that `diagnostics` stored, and the gate refuses what has none."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(masks_1d(), masks_2d()), FRACTIONS, FRACTIONS, RHOS, st.floats(0.0, 10.0))
+    def test_bounds_are_the_stored_margin(self, mask, frac, frac2, rho, eta):
+        omega = BandLimit.from_pi_fraction(frac if mask.window.ndim == 1 else (frac, frac2))
+        op = with_rhs(assemble_operator(mask, omega), np.ones(mask.n_missing))
+        diag = diagnostics(op, rho)
+        assert diag.spectral_norm == 1.0 + rho - diag.margin
+        if diag.margin == 0.0:
+            for bound in (lambda: solve_direct(op, rho), lambda: error_bound(op, rho, eta)):
+                with pytest.raises(SolverError, match="singular"):
+                    bound()
+        else:
+            assert diag.margin > op.size * np.finfo(np.float64).eps * (1.0 + rho)
+            assert solve_direct(op, rho).norm_bound == 1.0 / diag.margin
+            assert error_bound(op, rho, eta) == eta / diag.margin
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_rho_or_perturbation_that_is_not_finite_and_nonnegative_is_refused(self, value):
+        op = assemble_operator(random_problem(1).mask, OMEGA)
+        for call in (lambda: diagnostics(op, value), lambda: error_bound(op, value, 1.0),
+                     lambda: error_bound(op, 0.0, value), lambda: recover(random_problem(1, rho=value))):
+            with pytest.raises(ParameterError, match="finite nonnegative"):
+                call()
+        assert not any(isinstance(key, tuple) and key[1] != 0.0 for key in op._derived)
+
+    def test_non_finite_entry_above_the_diagonal_is_refused(self):
+        # the factor reads only the lower triangle, so without the check the margin is 0.9
+        matrix = 0.1 * np.eye(3)
+        matrix[0, 2] = np.nan
+        op = GapOperator(matrix=matrix)
+        for call in (lambda: diagnostics(op), lambda: error_bound(op, 0.0, 1.0),
+                     lambda: diagnostics(with_rhs(op, np.ones(3)), 0.5)):
+            with pytest.raises(SolverError, match="non-finite"):
+                call()
+
+
 class TestCachedResults:
     def test_spectrum_is_bit_identical_and_read_only(self):
         op = assemble_operator(make_mask(IndexWindow(-30, 30), [-7, 0, 1, 2, 9, 20]), OMEGA)
-        assert np.array_equal(op.spectrum, EIGVALSH(op.matrix))
-        assert eigenvalues(op) is op.spectrum
+        assert np.array_equal(eigenvalues(op), EIGVALSH(op.matrix))
+        assert eigenvalues(op) is eigenvalues(op)
         with pytest.raises(ValueError):
-            op.spectrum[0] = 1.0
+            eigenvalues(op)[0] = 1.0
 
     @pytest.mark.parametrize("size", [1, 127, 128, 300])
     def test_symmetry_defect_matches_full_transpose(self, size):
         matrix = np.random.default_rng(size).standard_normal((size, size))
-        op = GapOperator(matrix=matrix, order=tuple(range(size)), omega=OMEGA)
+        op = GapOperator(matrix=matrix)
         assert diagnostics(op).symmetry_defect == float(np.max(np.abs(matrix - matrix.T)))
         assert diagnostics(op) is diagnostics(with_rhs(op, np.zeros(size)))
 
