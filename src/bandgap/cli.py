@@ -3,7 +3,7 @@
 Four commands:
 
     bandgap recover  --input series.csv --missing "1..12" --omega 0.25
-    bandgap forecast --input past.csv --horizon 3 --gap 12 --n 60 --omega 0.25
+    bandgap forecast --input past.csv --horizon 3 --gap 12 --omega 0.25
     bandgap diagnose --missing "0..2" --omega 0.5
     bandgap simulate --config truncation_sweep.json
 
@@ -138,11 +138,12 @@ def cmd_forecast(args) -> int:
     if absent:
         raise GeometryError(f"past series has gaps at {absent[:5]}; fill or trim them first")
     if args.dummy == "zero":
-        dummy = None
+        dummy, n = None, (60 if args.n is None else args.n)
     else:
         dummy, dummy_absent = read_series_csv(args.dummy)
         if dummy_absent:
             raise GeometryError("dummy series has gaps")
+        n = args.n  # None: the dummy's last index
     omega = _omega_from_fraction(args.omega)
     spec = ForecastSpec(
         past=past,
@@ -150,7 +151,7 @@ def cmd_forecast(args) -> int:
         gap=args.gap,
         omega=omega,
         dummy=dummy,
-        n=args.n,
+        n=n,
         rho=args.rho,
     )
     result = forecast(spec)
@@ -159,7 +160,7 @@ def cmd_forecast(args) -> int:
         "input": args.input,
         "horizon": args.horizon,
         "gap": args.gap,
-        "n": args.n if dummy is None else dummy.window.hi,
+        "n": n if dummy is None else dummy.window.hi,
         "dummy": args.dummy,
         "omega": args.omega,
         "rho": report.rho,
@@ -314,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="past series CSV on {-q..0}")
     p.add_argument("--horizon", type=int, default=3, help="accepted forecast length")
     p.add_argument("--gap", type=int, default=12, help="recovered gap length m > horizon")
-    p.add_argument("--n", type=int, default=60, help="outer truncation bound (zero dummy)")
+    p.add_argument("--n", type=int, default=None,
+                   help="outer truncation bound (default: 60, or a dummy file's last index)")
     p.add_argument("--dummy", default="zero", help='"zero" or a CSV on {gap+1..n}')
     p.add_argument("--omega", type=float, default=0.25, help="band limit as a fraction of pi")
     p.add_argument("--rho", type=float, default=0.0)

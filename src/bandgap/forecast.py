@@ -8,7 +8,10 @@ sequence beyond the gap, and recover the gap {1..m} as an interior
 interpolation between the observed past {-q..0} and the dummy {m+1..N}.
 Only the first few recovered values are accepted as the forecast; their
 dependence on the dummy weakens as m grows, which `dummy_sensitivity`
-measures empirically.
+measures empirically.  Only the dummy changes the observed series, so the
+geometry of one gap length (mask, band limit, rho) goes through
+`recovery.prepare` once, and each dummy costs one right-hand side and one
+solve.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from .errors import GeometryError, ParameterError
 from .kernel import BandLimit
 from .masks import IndexWindow, make_mask
-from .recovery import RecoveryProblem, RecoverySolution, recover_all
+from .recovery import RecoverySolution, prepare
 from .series import Series
 
 
@@ -99,26 +102,19 @@ def _forecasts(spec: ForecastSpec, dummies: list[Series | None]) -> list[Forecas
     """The forecast of `spec` with each dummy in turn (None is the zero dummy).
 
     The dummies share the window of `spec.dummy`, so every forecast recovers
-    the same gap on the same window: one operator, one factorization and
-    one margin serve them all.
+    the same gap on the same window: one `prepare` serves them all.
     """
     q, n = _validate_spec(spec)
     window = IndexWindow(-q, n)
-    mask = make_mask(window, range(1, spec.gap + 1))
-    problems = []
+    size = window.checked_size()  # the window cap, checked before the operator is built
+    solve = prepare(make_mask(window, range(1, spec.gap + 1)), spec.omega, spec.rho)
+    results = []
     for dummy in dummies:
-        values = np.zeros(window.checked_size())
+        values = np.zeros(size)
         values[: q + 1] = spec.past.values
         if dummy is not None:
             values[q + 1 + spec.gap :] = dummy.values
-        problems.append(RecoveryProblem(
-            series=Series(window=window, values=values),
-            mask=mask,
-            omega=spec.omega,
-            rho=spec.rho,
-        ))
-    results = []
-    for solution in recover_all(problems):
+        solution = solve(Series(window=window, values=values))
         full_gap = solution.vector()
         results.append(ForecastResult(
             values=full_gap[: spec.horizon],

@@ -22,26 +22,28 @@ solver modules is used on this path; rho is resolved by the pipeline's own
 `resolve_rho`, default policy included.
 
 `run_experiment` sweeps window size, noise level, ridge weight, or gap
-size over seeded Monte-Carlo trials and aggregates error metrics.  It is a
-client of `recover_all`: the trials of one sweep value, clean and noisy
-series alike, share one operator, one factorization and one margin, and
-are generated one at a time.  A row's `wall_ms` is its value's wall time
-divided by the number of trials.  Identical seeds give identical rows (the
-wall-clock fields are the only nondeterministic part of a report).
+size over seeded Monte-Carlo trials and aggregates error metrics.  It
+calls `prepare` once per sweep value, so the trials of one value, clean
+and noisy series alike, share one operator, one factorization and one
+margin; each trial's series is generated and solved in turn.  A row's
+`wall_ms` is its value's wall time divided by the number of trials.
+Identical seeds give identical rows (the wall-clock fields are the only
+nondeterministic part of a report).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import BandgapError, GeometryError, OracleConditioningError, ParameterError
 from .kernel import BandLimit, kernel_profile
 from .masks import IndexWindow, ObservationMask, make_mask, parse_missing_spec
-from .recovery import RecoveryProblem, RecoverySolution, recover_all, resolve_rho
+from .recovery import RecoveryProblem, RecoverySolution, prepare, resolve_rho
 from .series import Series
 
 RNG_ALGORITHM = "numpy.random.Generator(PCG64)"
@@ -142,7 +144,7 @@ def _oracle_inputs(problem: RecoveryProblem, grid: int):
         )
     if problem.series.window != window:
         raise GeometryError("series and mask are defined on different windows")
-    return window, resolve_rho(problem)
+    return window, resolve_rho(problem.rho, problem.mask.n_missing)
 
 
 def oracle_recover(problem: RecoveryProblem, grid: int = ORACLE_DEFAULT_GRID) -> RecoverySolution:
@@ -237,14 +239,15 @@ class ExperimentConfig:
     values: strictly increasing sweep values, converted on construction to
         int (window, gap) or float (noise, rho).  Sigma, rho and noise or
         rho values must be finite and nonnegative.
-    seeds: one seed per trial (a plain `seed` in JSON is expanded to
-        seed, seed+1, ...).  omega and synth_band are radians here; the
-        JSON form uses fractions of pi.
+    seeds: one seed per trial (a plain `seed` and `trials` in JSON give
+        the range seed, seed+1, ..., which is never expanded in memory).
+        omega and synth_band are radians here; the JSON form uses
+        fractions of pi.
     """
 
     sweep: str
     values: tuple
-    seeds: tuple[int, ...]
+    seeds: Sequence[int]
     omega: float
     synth_band: float
     missing: str = "1..5"
@@ -284,7 +287,7 @@ class ExperimentConfig:
                 seeds = tuple(int(s) for s in doc["seeds"])
             else:
                 base = int(doc.get("seed", 0))
-                seeds = tuple(base + i for i in range(int(doc.get("trials", 1))))
+                seeds = range(base, base + int(doc.get("trials", 1)))
             return cls(
                 sweep=sweep,
                 values=values,
@@ -319,30 +322,19 @@ def _trial_signal(band: BandLimit, window: IndexWindow, seed: int) -> SignalSpec
 
 def _value_rows(config: ExperimentConfig, value, missing: list, synth_band: BandLimit,
                 omega: BandLimit) -> list[dict]:
-    """One row per seed: every trial of a sweep value, clean and noisy, in one `recover_all`."""
+    """One row per seed: every trial of a sweep value, clean and noisy, solved after one `prepare`."""
     half_width = value if config.sweep == "window" else config.window
     window = IndexWindow(-half_width, half_width)
     mask = make_mask(window, range(1, value + 1) if config.sweep == "gap" else missing)
     rho = value if config.sweep == "rho" else config.rho
     sigma = value if config.sweep == "noise" else config.sigma
-    trials = []  # (seed, truth on the missing set, noise norm or None), one per yielded clean series
-
-    def problems():
-        for seed in config.seeds:
-            spec = _trial_signal(synth_band, window, seed)
-            clean = RecoveryProblem(series=gen_bandlimited(spec), mask=mask, omega=omega, rho=rho)
-            truth = sinc_mixture_values(synth_band, spec.centers, spec.amplitudes, np.array(mask.missing))
-            noisy = add_noise(clean.series, sigma, seed + 1_000_003, mask=mask) if sigma > 0 else None
-            trials.append((seed, truth, None if noisy is None else noisy.eta_norm))
-            yield clean
-            if noisy is not None:
-                yield replace(clean, series=noisy.series)
-
-    # The noisy series share the clean ones' operator and factorization.
-    solutions = iter(recover_all(problems()))
+    solve = prepare(mask, omega, rho)
     rows = []
-    for seed, truth, eta_norm in trials:
-        clean = next(solutions)
+    for seed in config.seeds:
+        spec = _trial_signal(synth_band, window, seed)
+        series = gen_bandlimited(spec)
+        truth = sinc_mixture_values(synth_band, spec.centers, spec.amplitudes, np.array(mask.missing))
+        clean = solve(series)
         y_clean = clean.vector()
         report, diag = clean.solve_report, clean.operator_diagnostics
         row = {
@@ -361,12 +353,13 @@ def _value_rows(config: ExperimentConfig, value, missing: list, synth_band: Band
             "bound_violation": 0,
         }
         y_final = y_clean
-        if eta_norm is not None:
-            y_final = next(solutions).vector()
+        if sigma > 0:
+            noisy = add_noise(series, sigma, seed + 1_000_003, mask=mask)
+            y_final = solve(noisy.series).vector()
             # error_bound's eta / margin, from the clean solve's diagnostics.
-            bound = eta_norm / diag.margin
+            bound = noisy.eta_norm / diag.margin
             deviation = float(np.linalg.norm(y_final - y_clean))
-            row.update(eta_norm=eta_norm, perturbation=deviation, perturbation_bound=bound,
+            row.update(eta_norm=noisy.eta_norm, perturbation=deviation, perturbation_bound=bound,
                        bound_violation=int(deviation > bound * (1.0 + 1e-9)))
         err = np.abs(y_final - truth)
         row["max_abs_error"] = float(np.max(err))

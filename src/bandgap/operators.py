@@ -112,10 +112,11 @@ class OperatorDiagnostics:
     size: int
 
 
-def _check_dims(mask: ObservationMask, omega: BandLimit) -> None:
+def check_dims(mask: ObservationMask, omega: BandLimit) -> None:
+    """A band limit whose dimensionality differs from the mask window's is a ParameterError."""
     if omega.ndim != mask.window.ndim:
         raise ParameterError(
-            f"band limit is {omega.ndim}D but the mask window is {mask.window.ndim}D"
+            f"band limit dimensionality ({omega.ndim}D) does not match the {mask.window.ndim}D window"
         )
 
 
@@ -129,7 +130,7 @@ def assemble_operator(mask: ObservationMask, omega: BandLimit) -> GapOperator:
     span along an axis needs a table longer than MAX_WINDOW_SIZE, is a
     GeometryError, raised before anything is allocated.
     """
-    _check_dims(mask, omega)
+    check_dims(mask, omega)
     if mask.n_missing == 0:
         raise GeometryError("missing set is empty; nothing to recover")
     if mask.n_missing > MAX_MISSING:
@@ -165,7 +166,7 @@ def assemble_rhs(series: Series, mask: ObservationMask, omega: BandLimit) -> np.
     off at the missing set's rows (then columns): O(N log N) for N window
     samples.
     """
-    _check_dims(mask, omega)
+    check_dims(mask, omega)
     if series.window != mask.window:
         raise GeometryError("series and mask are defined on different windows")
     filtered = apply_mask(series, mask).values

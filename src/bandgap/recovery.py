@@ -5,8 +5,9 @@ gap operator and right-hand side, solves (1+rho)*y = A*y + a, and returns
 the recovered values on the missing set together with spectral and solver
 diagnostics.  Only the missing trace is ever computed; the in-sample
 band-limited approximation on the observed set is never materialized.
-`recover_all` recovers several series that share a mask, a band limit and
-rho against one operator and one factorization.
+The operator, its factorization and its margin depend on the mask, the
+band limit and rho alone: `prepare` builds them once and returns the
+per-series solve, which the forecast and lab layers call once per series.
 
 `recover_single_value` is the closed form for a single gap,
 
@@ -19,7 +20,7 @@ the 1D path when the window is a single row or column.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ from .operators import (
     OperatorDiagnostics,
     assemble_operator,
     assemble_rhs,
+    check_dims,
     diagnostics,
     with_rhs,
 )
@@ -83,34 +85,31 @@ class RecoverySolution:
         return np.array(list(self.values.values()), dtype=np.float64)
 
 
-def resolve_rho(problem: RecoveryProblem) -> float:
-    """The problem's rho, or the default policy's; anything but a finite nonnegative number is refused."""
-    rho = problem.rho if problem.rho is not None else default_rho(problem.mask.n_missing)
+def resolve_rho(rho: float | None, n_missing: int) -> float:
+    """`rho`, or the default policy's for `n_missing` samples; anything but a finite nonnegative number is refused."""
+    rho = default_rho(n_missing) if rho is None else rho
     if not (math.isfinite(rho) and rho >= 0):
         raise ParameterError(f"rho must be a finite nonnegative number, not {rho}")
     return float(rho)
 
 
-def _pipeline(first: RecoveryProblem) -> Callable[[RecoveryProblem], RecoverySolution]:
-    """Check the first problem in full and build its operator, factorization and margin.
+def prepare(
+    mask: ObservationMask, omega: BandLimit, rho: float | None = None
+) -> Callable[[Series], RecoverySolution]:
+    """Check a geometry and build its operator, factorization and margin, once.
 
-    Returns the per-series solve, which checks that a later problem shares
-    the first one's geometry before it costs one right-hand side and one
-    solve.  A 2D window that is a single row or column carries no
-    resolvable structure along the degenerate axis, so it is solved on the
-    1D pipeline of the other axis; keeping the tensor kernel instead would
-    silently rescale everything by the degenerate axis' omega/pi.
+    Returns `solve(series)`, the recovery of one series on the mask's
+    window: each call costs one right-hand side and one solve, so any
+    number of series share what depends on the mask, the band limit and rho
+    alone.  `rho=None` selects the default policy.  A 2D window that is a
+    single row or column carries no resolvable structure along the
+    degenerate axis, so it is solved on the 1D pipeline of the other axis;
+    keeping the tensor kernel instead would silently rescale everything by
+    the degenerate axis' omega/pi.
     """
-    mask, omega = first.mask, first.omega
     window, missing = mask.window, mask.missing
-    if mask.n_missing == 0:
-        raise GeometryError("missing set is empty; nothing to recover")
-    if first.series.window != window:
-        raise GeometryError("series and mask are defined on different windows")
-    if omega.ndim != window.ndim:
-        raise ParameterError("band limit dimensionality does not match the window")
-    rho = resolve_rho(first)
-    shared = (mask, omega, first.rho)
+    check_dims(mask, omega)
+    rho = resolve_rho(rho, mask.n_missing)
 
     collapse = window.ndim == 2 and window.size > 1 and 1 in window.shape
     if collapse:  # the canonical orders of the 2D and the collapsed mask agree
@@ -122,12 +121,11 @@ def _pipeline(first: RecoveryProblem) -> Callable[[RecoveryProblem], RecoverySol
     op = assemble_operator(mask, omega)
     diag = diagnostics(op, rho)
 
-    def solve(p: RecoveryProblem) -> RecoverySolution:
-        if (p.mask, p.omega, p.rho) != shared:
-            raise ParameterError("problems recovered together must share mask, omega and rho")
-        if p.series.window != window:
+    def solve(series: Series) -> RecoverySolution:
+        if series.window != window:
             raise GeometryError("series and mask are defined on different windows")
-        series = Series(window=mask.window, values=p.series.values.reshape(-1)) if collapse else p.series
+        if collapse:
+            series = Series(window=mask.window, values=series.values.reshape(-1))
         report = solve_direct(with_rhs(op, assemble_rhs(series, mask, omega)), rho)
         return RecoverySolution(
             values=dict(zip(missing, report.y.tolist())),
@@ -141,25 +139,7 @@ def _pipeline(first: RecoveryProblem) -> Callable[[RecoveryProblem], RecoverySol
 
 def recover(problem: RecoveryProblem) -> RecoverySolution:
     """Recover the missing trace on a 1D or 2D window."""
-    return recover_all([problem])[0]
-
-
-def recover_all(problems: Iterable[RecoveryProblem]) -> list[RecoverySolution]:
-    """Recover problems that differ only in their series, in order.
-
-    The gap operator, its factorization and its margin depend on the
-    mask, the band limit and rho alone, so they are computed once, from
-    the first problem; each problem then costs one right-hand side and one
-    solve.  Problems are taken from the iterable one at a time, so a
-    generator keeps only one series alive.  Each solution is the one
-    `recover` returns for its problem.
-    """
-    solutions, solve = [], None
-    for problem in problems:
-        if solve is None:
-            solve = _pipeline(problem)
-        solutions.append(solve(problem))
-    return solutions
+    return prepare(problem.mask, problem.omega, problem.rho)(problem.series)
 
 
 def recover_single_value(series: Series, s: int, omega: BandLimit) -> float:

@@ -318,6 +318,25 @@ class TestForecastCommand:
         dummy_rows = [r for r in doc["plot_data"] if r["series"] == "dummy"]
         assert [r["t"] for r in dummy_rows] == list(range(13, 61))
 
+    def test_dummy_file_sets_the_window_end(self, tmp_path, capsys):
+        rng = np.random.default_rng(58)
+        past = Series(window=IndexWindow(-60, 0), values=rng.standard_normal(61))
+        dummy = Series(window=IndexWindow(13, 100), values=rng.standard_normal(88))
+        ppath, dpath = tmp_path / "past.csv", tmp_path / "dummy.csv"
+        write_series_csv(past, ppath)
+        write_series_csv(dummy, dpath)
+        out = tmp_path / "fc.json"
+        argv = ["forecast", "--input", str(ppath), "--dummy", str(dpath)]
+        assert run([*argv, "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"]["n"] == 100
+        assert [r["t"] for r in doc["plot_data"] if r["series"] == "dummy"] == list(range(13, 101))
+        assert run([*argv, "--n", "100", "--output", str(tmp_path / "same.json")]) == 0
+        assert json.loads((tmp_path / "same.json").read_text())["values"] == doc["values"]
+        assert run([*argv, "--n", "60"]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["category"] == "parameter" and "contradicts the dummy window end 100" in error["message"]
+
 
 class TestDiagnoseCommand:
     def test_singleton_norm(self, tmp_path):

@@ -201,8 +201,26 @@ class TestExperiments:
             "sweep": "noise", "values": [0.0, 0.1], "seed": 5, "trials": 3,
             "omega": 0.25, "synth_band": 0.2,
         })
-        assert config.seeds == (5, 6, 7)
+        assert config.seeds == range(5, 8)
         assert config.omega == pytest.approx(0.25 * np.pi)
+
+    def test_from_json_keeps_a_huge_trial_count_lazy(self):
+        doc = {"sweep": "noise", "values": [0.0], "seed": 5, "trials": 10**9,
+               "omega": 0.25, "synth_band": 0.2}
+        tracemalloc.start()
+        try:
+            config = ExperimentConfig.from_json_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(config.seeds) == 10**9 and config.seeds[-1] == 5 + 10**9 - 1
+        assert peak < 2**20  # a tuple of the seeds would take about 38 GB
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_from_json_without_trials_is_parameter_error(self, trials):
+        with pytest.raises(ParameterError, match="at least one trial"):
+            ExperimentConfig.from_json_dict({"sweep": "noise", "values": [0.0], "trials": trials,
+                                             "omega": 0.25, "synth_band": 0.2})
 
     def test_window_sweep_error_decreases(self):
         config = ExperimentConfig(

@@ -37,7 +37,7 @@ from bandgap import operators
 from bandgap.cli import main
 from bandgap.lab import ExperimentConfig, run_experiment
 from bandgap.operators import MAX_MISSING
-from bandgap.recovery import recover_all
+from bandgap.recovery import prepare
 from bandgap.solvers import error_bound, solve_direct, solve_neumann
 
 OMEGA = BandLimit.from_pi_fraction(0.25)
@@ -99,6 +99,20 @@ class TestSpectrumCount:
             omega=BandLimit.from_pi_fraction((0.5, 0.25)), rho=0.0)
         recover(problem)
         assert counts == {"eigvalsh": 0, "factor": 1}
+
+    def test_one_per_prepare_across_series(self, counts):
+        problems = [random_problem(seed) for seed in (13, 14, 15)]
+        solve = prepare(problems[0].mask, OMEGA, 0.0)
+        solutions = [solve(problem.series) for problem in problems]
+        assert counts == {"eigvalsh": 0, "factor": 1}
+        for problem, solution in zip(problems, solutions):
+            assert np.array_equal(solution.vector(), fresh_solve(problem))
+
+    def test_series_on_another_window_is_geometry_error(self):
+        solve = prepare(random_problem(16).mask, OMEGA, 0.0)
+        other = random_problem(17, window=IndexWindow(-61, 60)).series
+        with pytest.raises(GeometryError, match="different windows"):
+            solve(other)
 
     def test_with_rhs_copies_share_spectrum_and_factor(self, counts):
         problem = random_problem(4)
@@ -263,20 +277,14 @@ class TestCachedResults:
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 0.5
 
-    def test_recover_all_matches_recover(self):
+    def test_prepare_matches_recover(self):
         problems = [random_problem(seed) for seed in (7, 8, 9)]
-        together = recover_all(problems)
-        for problem, solution in zip(problems, together):
-            alone = recover(problem)
-            assert solution.values == alone.values
-            assert solution.solve_report.residual == alone.solve_report.residual
-
-    def test_recover_all_rejects_different_geometry(self):
-        a, b = random_problem(10), random_problem(11, missing=range(2, 13))
-        with pytest.raises(ParameterError):
-            recover_all([a, b])
-        with pytest.raises(ParameterError):
-            recover_all([a, random_problem(12, rho=0.1)])
+        solve = prepare(problems[0].mask, OMEGA, 0.0)
+        for problem in problems:
+            together, alone = solve(problem.series), recover(problem)
+            assert together.values == alone.values
+            assert together.solve_report.residual == alone.solve_report.residual
+            assert together.operator_diagnostics == alone.operator_diagnostics
 
 
 class TestZeroObservations:
