@@ -60,19 +60,32 @@ def kernel_profile(omega: float, lags: np.ndarray) -> np.ndarray:
     return (omega / np.pi) * np.sinc(omega * lags / np.pi)
 
 
+def fft_length(n: int) -> int:
+    """The least 2^a * 3^b * 5^c >= n, a length numpy's FFT handles fast."""
+    best = 1 << max(n - 1, 0).bit_length()
+    pow3 = 1
+    while pow3 < best:
+        odd = pow3
+        while odd < best:  # odd = 3^b * 5^c; try the least 2^a * odd >= n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 5
+        pow3 *= 3
+    return best
+
+
 def lowpass_filter(omega: float, values: np.ndarray, offsets, axis: int = 0) -> np.ndarray:
     """Convolve `values` with h along `axis` and read the result off at `offsets`.
 
     out[k] = sum_j h(offsets[k] - j) * values[j] over j = 0..n-1 along the
     axis, so every lag in -(n-1)..(n-1) is used exactly as the dense sum
     would.  The even kernel is laid out circularly in a zero-padded buffer
-    of length L >= 2n - 1, so the circular convolution computed by
+    of length L = fft_length(2n - 1), so the circular convolution computed by
     rfft/irfft has no wrap-around: O(n log n) time and O(n) memory per
     axis line, against O(|offsets| * n) for the dense lag matrix.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[axis]
-    size = 1 << (2 * n - 2).bit_length()
+    size = fft_length(2 * n - 1)
     taps = np.zeros(size)
     h = kernel_profile(omega, np.arange(n))
     taps[:n] = h

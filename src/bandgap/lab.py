@@ -302,10 +302,17 @@ class ExperimentConfig:
         except KeyError as exc:
             raise ParameterError(f"experiment config is missing field {exc}") from exc
 
+    def seed_fields(self) -> dict:
+        """The seeds as the JSON form gives them: `seed` and `trials` for a range, else the list."""
+        if isinstance(self.seeds, range) and self.seeds.step == 1:
+            return {"seed": self.seeds.start, "trials": len(self.seeds)}
+        return {"seeds": list(self.seeds), "trials": len(self.seeds)}
+
     def echo(self) -> dict:
         doc = asdict(self)
+        del doc["seeds"]
+        doc.update(self.seed_fields())
         doc["values"] = list(self.values)
-        doc["seeds"] = list(self.seeds)
         doc["omega_pi_fraction"] = self.omega / np.pi
         doc["synth_band_pi_fraction"] = self.synth_band / np.pi
         return doc
@@ -372,9 +379,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """Run the sweep, one operator and one factorization per sweep value.
 
     A value whose recovery raises a BandgapError is recorded as one failure
-    row per seed and skipped; when every value fails, the first value's
-    exception propagates.  A row's `wall_ms` is its value's wall time
-    divided by the number of trials.
+    row, which names its seeds as `seed_fields` does, and skipped; when
+    every value fails, the first value's exception propagates.  A row's
+    `wall_ms` is its value's wall time divided by the number of trials.
     """
     t0 = time.perf_counter()
     missing = parse_missing_spec(config.missing)
@@ -386,8 +393,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
             group = _value_rows(config, value, missing, synth_band, omega)
         except BandgapError as exc:
             first_error = first_error or exc
-            failures.extend({"sweep": config.sweep, "value": value, "seed": seed, "status": "failed",
-                             "error": f"{type(exc).__name__}: {exc}"} for seed in config.seeds)
+            failures.append({"sweep": config.sweep, "value": value, **config.seed_fields(), "status": "failed",
+                             "error": f"{type(exc).__name__}: {exc}"})
             continue
         wall_ms = (time.perf_counter() - t_value) * 1e3 / len(config.seeds)
         for row in group:

@@ -4,11 +4,20 @@ A Series stores one float64 value per window index (a vector in 1D, a
 row-major matrix in 2D).  The CSV format has a header `t,value` (1D) or
 `t1,t2,value` (2D); missing samples are simply absent rows, so writing a
 masked series and reading it back reproduces both values and gaps.
+
+Reading has two paths.  The row parser `_read_rows` defines the format
+(comment and blank lines, CSV quoting, `int`/`float` fields) and names
+the line of every error.  `read_series_csv` first tries one `np.loadtxt`
+call over the body; whatever that path refuses, the row parser reads or
+rejects, so both paths give the same series or the same exception.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,12 +81,51 @@ def read_series_csv(path) -> tuple[Series, list[Index]]:
 
     The window is the bounding box of the indices present in the file; any
     in-window index with no row is reported as absent (a gap) and its value
-    is zero in the returned series.  Rows are parsed one by one for their
-    error messages, which name the row's line in the file; the window,
-    duplicates and absent indices are worked out on arrays.  A window above
-    MAX_WINDOW_SIZE entries is rejected before anything of its size is
-    allocated.
+    is zero in the returned series.  A window above MAX_WINDOW_SIZE entries
+    is rejected before anything of its size is allocated.
+
+    The body of a regular file is parsed in one `np.loadtxt` call.  Any
+    ValueError on that path sends the file to the row parser, `_read_rows`,
+    which defines the format and whose result or exception is final:
+    comment lines, quotes and malformed rows are read or reported exactly
+    as it does, with the error naming the line in the file.  A file that is
+    not regular, such as a pipe, may not be readable twice, so it goes to
+    the row parser directly.
     """
+    if os.path.isfile(path):
+        try:
+            return _read_table(path)
+        except ValueError:
+            pass  # not chained: the row parser's exception stands on its own
+    return _read_rows(path)
+
+
+def _read_table(path) -> tuple[Series, list[Index]]:
+    """The fast path: a header on line 1, then only numeric rows and blank lines.
+
+    Index columns parse as exact int64 (an overflow is a ValueError).  A
+    non-finite sample, a repeated index or an empty body is refused too,
+    so that the row parser names its line.
+    """
+    with open(path, "r", newline="", encoding="utf-8") as f:
+        ndim = _parse_header(f.readline().split(","))
+        body = f.read()
+    if not body.strip():
+        raise ValueError("no data rows")
+    with warnings.catch_warnings():
+        # older numpy reads "1.5" in an integer column as 1, with only this warning
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+        table = np.loadtxt(io.StringIO(body), delimiter=",", dtype=[("t", np.int64, (ndim,)), ("v", np.float64)],
+                           comments=None, quotechar=None, ndmin=1)
+    if not np.isfinite(table["v"]).all():
+        raise ValueError("non-finite sample")
+    # The lines the rows would have if no blank line was skipped; an error
+    # that names one is a ValueError, so the row parser reports it instead.
+    return _from_arrays(path, table["t"], table["v"], range(2, len(table) + 2))
+
+
+def _read_rows(path) -> tuple[Series, list[Index]]:
+    """The reference parser: rows one by one, each error naming its line in the file."""
     idx: list[int] = []
     vals: list[float] = []
     lines: list[int] = []
@@ -107,6 +155,11 @@ def read_series_csv(path) -> tuple[Series, list[Index]]:
         coords = np.array(idx, dtype=np.int64).reshape(-1, ndim)
     except OverflowError as exc:
         raise GeometryError(f"{path}: index does not fit in 64 bits") from exc
+    return _from_arrays(path, coords, values, lines)
+
+
+def _from_arrays(path, coords: np.ndarray, values: np.ndarray, lines) -> tuple[Series, list[Index]]:
+    """Window, duplicates, fill and absent list of rows (coords[i], values[i]) from line lines[i]."""
     lo = coords.min(axis=0)
     window = IndexWindow(lo, coords.max(axis=0))
     try:

@@ -470,16 +470,16 @@ class TestSimulateCommand:
         assert code == 2 and error["category"] == "parameter"
         assert peak < 16 * 2**20
 
-    def test_failing_value_is_recorded_per_seed(self, tmp_path):
+    def test_failing_value_is_recorded_once(self, tmp_path):
         config, out = tmp_path / "gap.json", tmp_path / "report.json"
         config.write_text(json.dumps({"sweep": "gap", "values": [5, 300], "seeds": [1, 2], "omega": 0.25,
                                       "synth_band": 0.2, "window": 100}))
         assert run(["simulate", "--config", str(config), "--output", str(out)]) == 0
         report = json.loads(out.read_text())
         assert [(r["value"], r["seed"]) for r in report["rows"]] == [(5, 1), (5, 2)]
-        failed = [(f["value"], f["seed"], f["status"]) for f in report["failures"]]
-        assert failed == [(300, 1, "failed"), (300, 2, "failed")]
-        assert all(f["error"].startswith("GeometryError: ") for f in report["failures"])
+        (failed,) = report["failures"]
+        assert (failed["value"], failed["seeds"], failed["trials"], failed["status"]) == (300, [1, 2], 2, "failed")
+        assert failed["error"].startswith("GeometryError: ")
         assert [agg["value"] for agg in report["aggregates"]] == [5]
 
     def test_unknown_config_path(self, tmp_path):

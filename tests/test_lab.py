@@ -27,6 +27,7 @@ from bandgap import (
     run_experiment,
 )
 from bandgap.kernel import kernel_profile
+from bandgap.masks import MAX_WINDOW_SIZE
 from bandgap.cli import main
 
 OMEGA = BandLimit.from_pi_fraction(0.25)
@@ -215,6 +216,29 @@ class TestExperiments:
             tracemalloc.stop()
         assert len(config.seeds) == 10**9 and config.seeds[-1] == 5 + 10**9 - 1
         assert peak < 2**20  # a tuple of the seeds would take about 38 GB
+
+    def test_a_failing_value_with_a_huge_trial_count_stays_small(self):
+        config = ExperimentConfig.from_json_dict({"sweep": "window", "values": [MAX_WINDOW_SIZE], "seed": 5,
+                                                  "trials": 10**9, "omega": 0.25, "synth_band": 0.2})
+        tracemalloc.start()
+        try:
+            echo = config.echo()
+            with pytest.raises(GeometryError, match=str(MAX_WINDOW_SIZE)):
+                run_experiment(config)  # the window fails before any trial runs
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (echo["seed"], echo["trials"]) == (5, 10**9) and "seeds" not in echo
+        assert peak < 4 * 2**20  # a failure row or a listed seed per trial would take tens of GB
+
+    def test_a_failing_value_names_its_seed_range(self):
+        config = ExperimentConfig.from_json_dict({"sweep": "gap", "values": [5, 300], "seed": 4, "trials": 2,
+                                                  "omega": 0.25, "synth_band": 0.2, "window": 100})
+        report = run_experiment(config)
+        (failed,) = report["failures"]
+        assert {k: failed[k] for k in ("value", "seed", "trials", "status")} == {
+            "value": 300, "seed": 4, "trials": 2, "status": "failed"}
+        assert [r["seed"] for r in report["rows"]] == [4, 5]
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_from_json_without_trials_is_parameter_error(self, trials):

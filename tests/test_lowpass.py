@@ -27,7 +27,7 @@ from bandgap import (
     assemble_rhs,
     make_mask,
 )
-from bandgap.kernel import kernel_profile, lowpass_filter
+from bandgap.kernel import fft_length, kernel_profile, lowpass_filter
 
 FRACTIONS = st.floats(min_value=0.01, max_value=0.99)
 
@@ -145,6 +145,19 @@ def test_operator_assembly_peak_stays_near_the_matrix():
         assert op.size == 1_024
         assert peak <= 1.5 * op.matrix.nbytes
         assert np.array_equal(op.matrix, dense_operator(mask, omegas))
+
+
+def _is_5_smooth(m: int) -> bool:
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def test_fft_length_is_the_least_5_smooth_number_at_or_above_n():
+    smooth = [m for m in range(1, 5121) if _is_5_smooth(m)]  # 5120 = 2^10 * 5
+    assert [fft_length(n) for n in range(1, 5001)] == [next(m for m in smooth if m >= n) for n in range(1, 5001)]
+    assert fft_length(2 * 40_001 - 1) == 81_000 and fft_length(2 * 384 - 1) == 768
 
 
 def test_filter_along_second_axis_matches_first():

@@ -1,14 +1,20 @@
 """Series container semantics and CSV round-tripping."""
 
 import csv
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bandgap
 from bandgap import GeometryError, IndexWindow, ParameterError, Series, apply_mask, make_mask
-from bandgap.series import read_series_csv, write_series_csv
+from bandgap import series as series_module
+from bandgap.series import _read_rows, read_series_csv, write_series_csv
 
 
 def test_shape_validation():
@@ -191,3 +197,89 @@ def test_csv_round_trip_is_the_identity(tmp_path_factory, case):
     assert back.window == series.window
     assert tuple(absent) == mask.missing
     assert np.array_equal(back.values, apply_mask(series, mask).values)
+
+
+# Fields and lines that the row parser reads or rejects in its own way: the
+# table path must either agree with it or hand the file over.
+ODD_INDICES = [" 1", "+2", "-0", "007", "1_000", "1.0", "1e1", "0x1", "\u0661", " 3", "", " ", '"1"',
+               str(2**63 - 1), str(-2**63), str(2**63), str(-2**63 - 1), str(10**20), str(2**40)]
+ODD_SAMPLES = ["nan", "-inf", "1e999", "Infinity", " 1.5 ", "1_0.5", '"2.0"', "", "0x1p3", "1d5",
+               "\u0661.5", " 2.0", "-0.0", "1e-400", ".5", "5.", "+1.5E+03", "2\x00", "2.0 # note", '2.0"']
+ODD_LINES = ["", "   ", "\t", "# a comment", " # indented", "#1,2.0", '"1","2.0"', '"1,2.0"', "\ufeff1,2.0",
+             "1", "1,2.0,3", "1,2,3,4.0", "\x0c", "\r"]
+HEADERS = ["t,value", "t1,t2,value", "T, Value", '"t",value', "\ufefft,value", "time,val", "t,value,",
+           "# a comment\nt,value", "\nt1,t2,value"]
+
+
+@st.composite
+def series_files(draw):
+    """The bytes of a 1D or 2D series file: well formed, or with one to three odd fields or lines."""
+    ndim = draw(st.sampled_from([1, 2]))
+    keys = draw(st.lists(st.tuples(*[st.integers(-3, 3).map(str)] * ndim), unique=True, max_size=12))
+    sample = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr), st.floats(-1e3, 1e3).map(str))
+    rows = [[*key, draw(sample)] for key in keys]
+    header, extra = HEADERS[ndim - 1], []
+    odd = draw(st.booleans())
+    for _ in range(draw(st.integers(1, 3)) if odd else 0):
+        edit = draw(st.sampled_from(["header", "index", "sample", "line"]))
+        if edit == "header":
+            header = draw(st.sampled_from(HEADERS))
+        elif edit == "line" or not rows:
+            extra.append(draw(st.sampled_from(ODD_LINES + [",".join(row) for row in rows[:1]])))
+        else:
+            row = draw(st.sampled_from(rows))
+            if edit == "index":
+                row[draw(st.integers(0, ndim - 1))] = draw(st.sampled_from(ODD_INDICES))
+            else:
+                row[ndim] = draw(st.one_of(st.sampled_from(ODD_SAMPLES), st.floats().map(repr)))
+    lines = [header, *map(",".join, rows)]
+    for line in extra:
+        lines.insert(draw(st.integers(1, len(lines))), line)
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text.encode("utf-8") + (draw(st.sampled_from([b"", b"", b"", b"\xff\n"])) if odd else b"")
+
+
+def _outcome(read, path):
+    try:
+        series, absent = read(path)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return type(exc), str(exc)
+    return series.window, series.values.tobytes(), absent
+
+
+@settings(max_examples=500, deadline=None)
+@given(series_files())
+def test_reader_agrees_with_the_row_parser(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "differential.csv"
+    path.write_bytes(data)
+    assert _outcome(read_series_csv, path) == _outcome(_read_rows, path)
+
+
+def test_plain_file_takes_the_table_path(tmp_path, monkeypatch):
+    path = tmp_path / "plain.csv"
+    path.write_bytes(b"t1,t2,value\r\n0,1,2.5\r\n\r\n1,0,-1e-3\n")
+    monkeypatch.setattr(series_module, "_read_rows", lambda path: pytest.fail("the row parser ran"))
+    back, absent = read_series_csv(path)
+    assert back.window == IndexWindow((0, 0), (1, 1)) and absent == [(0, 0), (1, 1)]
+    assert back.value_at((0, 1)) == 2.5 and back.value_at((1, 0)) == -1e-3
+
+
+@pytest.mark.parametrize("text", ["t,value\n0,1.0\n2,3.0\n", "# a comment\nt,value\n0,1.0\n2,3.0\n"])
+def test_a_pipe_is_read_once(text):
+    src = str(Path(bandgap.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from bandgap.series import read_series_csv; "
+            "print(read_series_csv('/dev/stdin')[1])")
+    out = subprocess.run([sys.executable, "-c", code, src], input=text, capture_output=True, text=True, timeout=60)
+    assert (out.stdout, out.stderr) == ("[1]\n", "")
+
+
+def test_header_only_file_warns_nothing(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("t,value\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match="no data rows"):
+            read_series_csv(path)
