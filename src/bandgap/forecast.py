@@ -156,6 +156,8 @@ def dummy_sensitivity(
     """
     if len(dummies) < 2:
         raise ParameterError("at least two dummies are required")
+    if not gaps:
+        raise ParameterError("at least one gap length is required")
     if list(gaps) != sorted(set(int(g) for g in gaps)):
         raise ParameterError("gap lengths must be strictly increasing")
     windows = {d.window for d in dummies}

@@ -8,18 +8,24 @@ is the separable product kernel for an axis-aligned rectangular band,
 which is this toolkit's extension of the 1D theory to grids.
 
 Every kernel-weighted sum over a window goes through one primitive,
-:func:`lowpass_filter`: a zero-padded FFT convolution along one axis, in
-O(n log n) time and O(n) memory for an axis of length n.
+:func:`lowpass_filter`, along one axis of length n: a zero-padded FFT
+convolution, in O(n log n) time and O(n) memory per line, or, when there
+are at least as many lines as offsets to read, one product with the
+kernel weights of those offsets.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
+
+# Entries of the largest dense lag matrix `lowpass_filter` gathers (512 KiB).
+DIRECT_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -82,17 +88,40 @@ def lowpass_filter(omega: float, values: np.ndarray, offsets, axis: int = 0) -> 
     of length L = fft_length(2n - 1), so the circular convolution computed by
     rfft/irfft has no wrap-around: O(n log n) time and O(n) memory per
     axis line, against O(|offsets| * n) for the dense lag matrix.
+
+    The dense lag matrix is used instead when there are at least as many
+    lines along the other axes as offsets and it has at most DIRECT_PAIRS
+    entries: it is gathered once and serves every line in one matrix
+    product, where the FFT pays for each line (the first axis of a 2D grid
+    with a few hundred missing cells).
     """
     values = np.asarray(values, dtype=np.float64)
+    offsets = np.asarray(offsets)
     n = values.shape[axis]
+    with np.errstate(over="ignore", invalid="ignore"):  # callers check for non-finite sums
+        if len(offsets) <= values.size // n and len(offsets) * n <= DIRECT_PAIRS:
+            weights = kernel_profile(omega, np.arange(n))[np.abs(offsets[:, None] - np.arange(n))]
+            return np.moveaxis(np.tensordot(weights, values, axes=(1, axis)), 0, axis)
+        size = fft_length(2 * n - 1)
+        shape = [1] * values.ndim
+        shape[axis] = size // 2 + 1
+        spectrum = np.fft.rfft(values, n=size, axis=axis) * _taps_spectrum(omega, n).reshape(shape)
+        full = np.fft.irfft(spectrum, n=size, axis=axis)
+    return np.take(full, offsets, axis=axis)
+
+
+@functools.lru_cache(maxsize=4)
+def _taps_spectrum(omega: float, n: int) -> np.ndarray:
+    """rfft of h over the lags -(n-1)..(n-1), laid out circularly in fft_length(2n - 1) (read-only).
+
+    It depends on omega and the axis length alone, so the calls of one
+    geometry, or of many series on one window, share it.
+    """
     size = fft_length(2 * n - 1)
     taps = np.zeros(size)
     h = kernel_profile(omega, np.arange(n))
     taps[:n] = h
     taps[size - n + 1:] = h[:0:-1]
-    shape = [1] * values.ndim
-    shape[axis] = size // 2 + 1
-    with np.errstate(over="ignore", invalid="ignore"):  # callers check for non-finite sums
-        spectrum = np.fft.rfft(values, n=size, axis=axis) * np.fft.rfft(taps).reshape(shape)
-        full = np.fft.irfft(spectrum, n=size, axis=axis)
-    return np.take(full, offsets, axis=axis)
+    spectrum = np.fft.rfft(taps)
+    spectrum.flags.writeable = False
+    return spectrum

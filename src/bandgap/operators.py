@@ -12,7 +12,8 @@ per distinct lag, and filled one block of rows at a time, so assembly
 needs little memory beyond A itself.  a(x) is the masked series low-pass
 filtered by :func:`kernel.lowpass_filter` (axis by axis in 2D) and read
 off on M: for a window of N samples that is O(N log N) time and O(N)
-memory, whatever the size of M.
+memory, whatever the size of M, unless a dense product over the few
+offsets read is cheaper.
 
 A is read-only once assembled, so what depends on it alone is computed
 once per matrix and reused by every caller: per rho, a blocked Cholesky
@@ -42,9 +43,13 @@ BLOCK_ENTRIES = 1 << 16
 # Order of the diagonal blocks of the Cholesky factor.
 FACTOR_BLOCK = 64
 
-# Lanczos stops once the residual of its top Ritz pair is below this
-# fraction of the Ritz value.  On the clustered spectrum of a 4 x 6 gap at
-# (0.125, 0.9375) pi, 1e-10 misses ||A|| by 3e-11.
+# Lanczos stops once the residual r of its top Ritz pair is below this
+# fraction of the Ritz value theta_1, which puts theta_1, and so the margin
+# 1/theta_1, within this relative distance of an eigenvalue.  On the
+# clustered spectrum of a 4 x 6 gap at (0.125, 0.9375) pi, 1e-10 misses
+# ||A|| by 3e-11.  The gap bound r^2 / (theta_1 - theta_2) is no safe
+# earlier stop: it takes the next Ritz value for the next eigenvalue, and in
+# a cluster the run has not yet split, the next eigenvalue is nearer.
 LANCZOS_TOL = 1e-13
 
 
@@ -83,6 +88,9 @@ class CholeskyFactor:
     A solve is a forward and a back substitution block by block, each block
     one product with a stored inverse (Golub & Van Loan, *Matrix
     Computations*), so one factor serves any number of right-hand sides.
+    Both substitutions read L by block rows, which lie contiguous in memory:
+    the back substitution subtracts each solved block's share from the
+    blocks above it as soon as it is known.
     """
 
     lower: np.ndarray
@@ -97,7 +105,8 @@ class CholeskyFactor:
             y[lo:hi] = inv @ (y[lo:hi] - lower[lo:hi, :lo] @ y[:lo])
         for i in reversed(range(len(self.inverses))):
             lo, hi = i * k, (i + 1) * k
-            y[lo:hi] = self.inverses[i].T @ (y[lo:hi] - lower[hi:, lo:hi].T @ y[hi:])
+            y[lo:hi] = self.inverses[i].T @ y[lo:hi]
+            y[:lo] -= y[lo:hi] @ lower[lo:hi, :lo]
         return y
 
 
@@ -147,12 +156,21 @@ def assemble_operator(mask: ObservationMask, omega: BandLimit) -> GapOperator:
             f"matrix is capped at {MAX_WINDOW_SIZE} entries per axis"
         )
     tables = [kernel_profile(w, np.arange(span + 1)) for w, span in zip(omega.axes, spans)]
-    matrix = np.ones((m, m))
+    matrix = np.empty((m, m))
     step = max(1, BLOCK_ENTRIES // m)
     for start in range(0, m, step):
-        rows = slice(start, start + step)
-        for table, t in zip(tables, coords.T):
-            matrix[rows] *= table[np.abs(t[rows, None] - t[None, :])]
+        block = matrix[start:start + step]
+        for axis, (table, t) in enumerate(zip(tables, coords.T)):
+            # The rows of a block repeat coordinates along an axis (the cells
+            # of a 2D missing block share their row and column coordinates):
+            # each distinct one is looked up once and its row copied.
+            # mode="clip" only spares `take` a buffer; `rows` is in range.
+            keys, rows = np.unique(t[start:start + step], return_inverse=True)
+            lags = table[np.abs(keys[:, None] - t[None, :])]
+            if axis == 0:
+                np.take(lags, rows, axis=0, out=block, mode="clip")
+            else:
+                block *= np.take(lags, rows, axis=0, mode="clip")
     return GapOperator(matrix=matrix)
 
 
@@ -248,24 +266,32 @@ def _lanczos_margin(factor: CholeskyFactor, m: int) -> float:
     """lambda_min of the factored matrix S, as 1/theta_max of a Lanczos run on S^-1.
 
     The basis is reorthogonalised in full, twice per step, from a start
-    vector with a fixed seed, so the result is deterministic.  The run stops
-    once the top Ritz pair's residual beta_k |s_k| is at most LANCZOS_TOL
-    times its Ritz value theta_max, or after m steps, when T is all of S^-1.
+    vector with a fixed seed, so the result is deterministic.  The basis and
+    the tridiagonal T are kept in arrays that double when full, and each
+    step passes T's leading k x k block to `eigh`.  The run stops once the
+    top Ritz pair's residual beta_k |s_k| is at most LANCZOS_TOL times its
+    Ritz value theta_max, or after m steps, when T is all of S^-1.
     """
     start = np.random.default_rng(0).standard_normal(m)
-    basis, alphas, betas = [start / np.linalg.norm(start)], [], []
+    basis = np.empty((min(m, 32), m))
+    tri = np.zeros((len(basis), len(basis)))
+    basis[0] = start / np.linalg.norm(start)
     for k in range(m):
-        w = factor.solve(basis[-1])
-        alphas.append(basis[-1] @ w)
-        done = np.array(basis)
+        w = factor.solve(basis[k])
+        tri[k, k] = basis[k] @ w
+        done = basis[:k + 1]
         for _ in range(2):
-            w -= done.T @ (done @ w)
+            w -= (done @ w) @ done
         beta = float(np.linalg.norm(w))
-        theta, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        theta, vectors = np.linalg.eigh(tri[:k + 1, :k + 1])
         if beta * abs(vectors[-1, -1]) <= LANCZOS_TOL * theta[-1] or k + 1 == m:
             return float(1.0 / theta[-1])
-        basis.append(w / beta)
-        betas.append(beta)
+        if k + 1 == len(basis):
+            grown = min(2 * len(basis), m)
+            basis = np.concatenate([basis, np.empty((grown - len(basis), m))])
+            tri = np.pad(tri, (0, grown - len(tri)))
+        basis[k + 1] = w / beta
+        tri[k, k + 1] = tri[k + 1, k] = beta
 
 
 def _symmetry_defect(matrix: np.ndarray) -> float:

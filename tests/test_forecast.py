@@ -156,6 +156,8 @@ class TestDummySensitivity:
             dummy_sensitivity(past, 3, [future], [4, 8], OMEGA)
         with pytest.raises(ParameterError):
             dummy_sensitivity(past, 3, [future, future], [8, 4], OMEGA)
+        with pytest.raises(ParameterError, match="at least one gap length"):
+            dummy_sensitivity(past, 3, [future, future], [], OMEGA)
         misaligned = Series.zeros(IndexWindow(0, n))
         with pytest.raises(GeometryError):
             dummy_sensitivity(past, 3, [misaligned, misaligned], [4, 8], OMEGA)

@@ -26,7 +26,7 @@ from bandgap import (
     recover_single_value,
     run_experiment,
 )
-from bandgap.kernel import kernel_profile
+from bandgap.kernel import _taps_spectrum, kernel_profile
 from bandgap.masks import MAX_WINDOW_SIZE
 from bandgap.cli import main
 
@@ -367,6 +367,7 @@ def test_trials_are_generated_one_at_a_time():
     def peak(trials):
         config = ExperimentConfig(sweep="noise", values=(0.1,), seeds=tuple(range(trials)),
                                   omega=0.25 * np.pi, synth_band=0.2 * np.pi, window=250_000)
+        _taps_spectrum.cache_clear()  # both runs compute the filter taps they use
         tracemalloc.start()
         try:
             run_experiment(config)

@@ -15,10 +15,12 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bandgap
+from bandgap import kernel
 from bandgap import (
     BandLimit,
     IndexWindow,
@@ -168,6 +170,41 @@ def test_filter_along_second_axis_matches_first():
     along_rows = lowpass_filter(0.6, grid.T, offsets, axis=0).T
     assert np.max(np.abs(along_cols - along_rows)) <= 1e-15
     assert lowpass_filter(0.6, np.array([2.0]), [0]).tolist() == [2.0 * 0.6 / math.pi]
+
+
+def test_repeat_filter_reuses_the_taps_spectrum(monkeypatch):
+    """The taps depend on (omega, n) alone: a repeat call evaluates no kernel values."""
+    lags = []
+
+    def counting(omega, values):
+        lags.append(np.size(values))
+        return kernel_profile(omega, values)
+
+    monkeypatch.setattr(kernel, "kernel_profile", counting)
+    kernel._taps_spectrum.cache_clear()
+    values = np.random.default_rng(5).standard_normal((60, 3))
+    offsets = [2, 17, 29, 40]  # more offsets than lines: the FFT path
+    first = lowpass_filter(0.7, values, offsets)
+    assert lags == [60]
+    again = lowpass_filter(0.7, values, offsets)
+    assert lags == [60]
+    assert np.array_equal(first, again)
+    with pytest.raises(ValueError):
+        kernel._taps_spectrum(0.7, 60)[0] = 0.0
+
+
+def test_filter_sums_directly_when_lines_outnumber_offsets(monkeypatch):
+    """At least as many lines as offsets: one product with the dense lag matrix, equal to the FFT path."""
+    grid = np.random.default_rng(6).standard_normal((70, 50))
+    offsets = [0, 3, 4, 31, 69]
+    kernel._taps_spectrum.cache_clear()
+    direct = lowpass_filter(0.45, grid, offsets, axis=0)
+    assert kernel._taps_spectrum.cache_info().misses == 0
+    want = np.array([[np.sum(h(0.45, k - np.arange(70)) * grid[:, c]) for c in range(50)] for k in offsets])
+    assert np.max(np.abs(direct - want)) <= tolerance(grid)
+    monkeypatch.setattr(kernel, "DIRECT_PAIRS", 0)
+    assert np.max(np.abs(lowpass_filter(0.45, grid, offsets, axis=0) - direct)) <= tolerance(grid)
+    assert kernel._taps_spectrum.cache_info().misses == 1
 
 
 def test_rhs_at_window_1e5_gaps_2e3_stays_small():

@@ -51,6 +51,15 @@ class TestAssembleOperator:
         m = np.sort(rng.choice(np.arange(-50, 51), size=12, replace=False))
         op = assemble_operator(make_mask(IndexWindow(-50, 50), m), BandLimit.from_pi_fraction(0.3))
         assert np.array_equal(op.matrix, op.matrix.T)
+        # 2D, coordinates repeated along both axes, several blocks of rows:
+        # entry for entry the product of h over each axis's lag
+        cells = rng.choice(30 * 30, size=300, replace=False)
+        mask_2d = make_mask(IndexWindow((0, 0), (29, 29)), [divmod(c, 30) for c in cells])
+        op_2d = assemble_operator(mask_2d, BandLimit.from_pi_fraction((0.3, 0.7)))
+        lags = np.abs(mask_2d.offsets[:, None, :] - mask_2d.offsets[None, :, :])
+        direct = kernel_profile(0.3 * math.pi, lags[..., 0]) * kernel_profile(0.7 * math.pi, lags[..., 1])
+        assert np.array_equal(op_2d.matrix, direct)
+        assert np.array_equal(op_2d.matrix, op_2d.matrix.T)
         # contiguous gap: entries depend on i - j only, and match direct evaluation
         op2 = assemble_operator(make_mask(IndexWindow(-10, 10), range(-2, 4)), BandLimit.from_pi_fraction(0.3))
         w = 0.3 * math.pi

@@ -217,6 +217,24 @@ class TestLanczosMargin:
         complement = assemble_operator(mask, BandLimit((1.0 - frac) * np.pi))
         assert abs(margin - float(EIGVALSH(complement.matrix)[0])) <= 1e-13
 
+    def test_norm_at_benchmark_scale(self, monkeypatch):
+        """16 blocks of 8 x 8 in a 256^2 window (|M| = 1,024), whose top eigenvalues nearly coincide."""
+        rng = np.random.default_rng(8)
+        cells = rng.choice(14 * 14, size=16, replace=False)
+        missing = [(16 * (1 + c // 14) + r0 + i, 16 * (1 + c % 14) + c0 + j)
+                   for c, r0, c0 in zip(cells, rng.integers(0, 9, 16), rng.integers(0, 9, 16))
+                   for i in range(8) for j in range(8)]
+        op = assemble_operator(make_mask(IndexWindow((0, 0), (255, 255)), missing),
+                               BandLimit.from_pi_fraction((0.25, 0.4)))
+        solves = []
+        solve = operators.CholeskyFactor.solve
+        monkeypatch.setattr(operators.CholeskyFactor, "solve",
+                            lambda factor, b: solves.append(1) or solve(factor, b))
+        diag = diagnostics(op, 1e-4)
+        assert op.size == 1024
+        assert abs(diag.spectral_norm - float(EIGVALSH(op.matrix)[-1])) <= 1e-13
+        assert len(solves) <= 36  # one per Lanczos step; the residual stop takes 36 here
+
 
 class TestStoredMargin:
     """Every bound reads the margin that `diagnostics` stored, and the gate refuses what has none."""
