@@ -144,23 +144,14 @@ def cmd_forecast(args) -> int:
         if dummy_absent:
             raise GeometryError("dummy series has gaps")
         n = args.n  # None: the dummy's last index
-    omega = _omega_from_fraction(args.omega)
-    spec = ForecastSpec(
-        past=past,
-        horizon=args.horizon,
-        gap=args.gap,
-        omega=omega,
-        dummy=dummy,
-        n=n,
-        rho=args.rho,
-    )
-    result = forecast(spec)
+    result = forecast(ForecastSpec(past=past, horizon=args.horizon, gap=args.gap,
+                                   omega=_omega_from_fraction(args.omega), dummy=dummy, n=n, rho=args.rho))
     report = result.solution.solve_report
     config = {
         "input": args.input,
         "horizon": args.horizon,
         "gap": args.gap,
-        "n": n if dummy is None else dummy.window.hi,
+        "n": args.gap + len(result.dummy),
         "dummy": args.dummy,
         "omega": args.omega,
         "rho": report.rho,
@@ -172,10 +163,9 @@ def cmd_forecast(args) -> int:
     doc["full_gap"] = [
         {"t": t, "value": float(v)} for t, v in enumerate(result.full_gap, start=1)
     ]
-    dummy_values = np.zeros(config["n"] - args.gap) if dummy is None else dummy.values
     plot_rows = []
     for name, start, values in (("past", past.window.lo, past.values),
-                                ("dummy", args.gap + 1, dummy_values),
+                                ("dummy", args.gap + 1, result.dummy),
                                 ("forecast", 1, result.full_gap)):
         plot_rows.extend(
             {"t": t, "value": v, "series": name,

@@ -11,7 +11,8 @@ dependence on the dummy weakens as m grows, which `dummy_sensitivity`
 measures empirically.  Only the dummy changes the observed series, so the
 geometry of one gap length (mask, band limit, rho) goes through
 `recovery.prepare` once, and each dummy costs one right-hand side and one
-solve.
+solve.  `forecast` returns the accepted values, the whole recovered gap,
+the dummy values it used (zeros for the zero dummy) and the solution record.
 """
 
 from __future__ import annotations
@@ -54,29 +55,34 @@ class ForecastSpec:
 
 @dataclass(frozen=True, eq=False)
 class ForecastResult:
-    """Accepted forecast on {1..horizon}; full_gap holds all of {1..gap}."""
+    """Accepted forecast on {1..horizon}; full_gap holds all of {1..gap}.
+
+    dummy holds the values used on {gap+1..n}: zeros for the zero dummy.
+    """
 
     values: np.ndarray
     full_gap: np.ndarray
+    dummy: np.ndarray
     solution: RecoverySolution
-    horizon: int
-    gap: int
 
 
-def _validate_spec(spec: ForecastSpec) -> tuple[int, int]:
-    if spec.horizon < 1:
+def _check_gap(past: Series, horizon: int, gap: int, omega: BandLimit) -> None:
+    """The checks of a forecast that do not read the dummy."""
+    if horizon < 1:
         raise ParameterError("forecast horizon must be at least 1")
-    if spec.gap <= spec.horizon:
-        raise ParameterError(
-            f"gap length ({spec.gap}) must exceed the accepted horizon ({spec.horizon})"
-        )
-    if spec.past.ndim != 1 or spec.omega.ndim != 1:
+    if gap <= horizon:
+        raise ParameterError(f"gap length ({gap}) must exceed the accepted horizon ({horizon})")
+    if past.ndim != 1 or omega.ndim != 1:
         raise GeometryError("forecasting is a 1D operation")
-    if spec.past.window.hi != 0 or spec.past.window.lo > -1:
+    if past.window.hi != 0 or past.window.lo > -1:
         raise GeometryError(
-            f"past series must live on {{-q..0}} with q >= 1, got "
-            f"[{spec.past.window.lo}, {spec.past.window.hi}]"
+            f"past series must live on {{-q..0}} with q >= 1, got [{past.window.lo}, {past.window.hi}]"
         )
+
+
+def forecast(spec: ForecastSpec) -> ForecastResult:
+    """Run the dummy-interpolation forecast; accepts the first `horizon` values."""
+    _check_gap(spec.past, spec.horizon, spec.gap, spec.omega)
     if spec.dummy is not None:
         lo, hi = spec.dummy.window.lo, spec.dummy.window.hi
         if lo != spec.gap + 1:
@@ -84,45 +90,33 @@ def _validate_spec(spec: ForecastSpec) -> tuple[int, int]:
         if spec.n is not None and spec.n != hi:
             raise ParameterError(f"n = {spec.n} contradicts the dummy window end {hi}")
         n = hi
+    elif spec.n is None:
+        raise ParameterError("either a dummy series or the truncation bound n is required")
     else:
-        if spec.n is None:
-            raise ParameterError("either a dummy series or the truncation bound n is required")
         n = spec.n
     if n <= spec.gap:
         raise ParameterError(f"truncation bound n ({n}) must exceed the gap length ({spec.gap})")
-    return -int(spec.past.window.lo), int(n)
+    IndexWindow(spec.past.window.lo, n).checked_size()  # the window cap, before a zero dummy of its size
+    dummy = np.zeros(n - spec.gap) if spec.dummy is None else spec.dummy.values
+    return _forecasts(spec.past, spec.horizon, spec.gap, spec.omega, spec.rho, [dummy])[0]
 
 
-def forecast(spec: ForecastSpec) -> ForecastResult:
-    """Run the dummy-interpolation forecast; accepts the first `horizon` values."""
-    return _forecasts(spec, [spec.dummy])[0]
+def _forecasts(past: Series, horizon: int, gap: int, omega: BandLimit, rho: float,
+               dummies: list[np.ndarray]) -> list[ForecastResult]:
+    """The forecast with each dummy in turn, given as its values on {gap+1..n}.
 
-
-def _forecasts(spec: ForecastSpec, dummies: list[Series | None]) -> list[ForecastResult]:
-    """The forecast of `spec` with each dummy in turn (None is the zero dummy).
-
-    The dummies share the window of `spec.dummy`, so every forecast recovers
-    the same gap on the same window: one `prepare` serves them all.
+    The dummies share one length, so every forecast recovers the same gap on
+    the same window: one `prepare` serves them all.
     """
-    q, n = _validate_spec(spec)
-    window = IndexWindow(-q, n)
-    size = window.checked_size()  # the window cap, checked before the operator is built
-    solve = prepare(make_mask(window, range(1, spec.gap + 1)), spec.omega, spec.rho)
+    window = IndexWindow(past.window.lo, gap + len(dummies[0]))
+    window.checked_size()  # the window cap, checked before the operator or a series is built
+    solve = prepare(make_mask(window, range(1, gap + 1)), omega, rho)
     results = []
     for dummy in dummies:
-        values = np.zeros(size)
-        values[: q + 1] = spec.past.values
-        if dummy is not None:
-            values[q + 1 + spec.gap :] = dummy.values
-        solution = solve(Series(window=window, values=values))
+        solution = solve(Series(window=window, values=np.concatenate([past.values, np.zeros(gap), dummy])))
         full_gap = solution.vector()
-        results.append(ForecastResult(
-            values=full_gap[: spec.horizon],
-            full_gap=full_gap,
-            solution=solution,
-            horizon=spec.horizon,
-            gap=spec.gap,
-        ))
+        results.append(ForecastResult(values=full_gap[:horizon], full_gap=full_gap, dummy=dummy,
+                                      solution=solution))
     return results
 
 
@@ -170,19 +164,13 @@ def dummy_sensitivity(
     if gaps[-1] >= n:
         raise GeometryError(f"largest gap {gaps[-1]} leaves no dummy range before n = {n}")
 
+    # The gaps increase, so a first gap longer than the horizon makes every gap so.
+    _check_gap(past, horizon, int(gaps[0]), omega)
+
     distances = []
-    for m in gaps:
-        tail = IndexWindow(m + 1, n)
-        restricted = [dummy.restricted(tail) for dummy in dummies]
-        spec = ForecastSpec(
-            past=past,
-            horizon=horizon,
-            gap=int(m),
-            omega=omega,
-            dummy=restricted[0],
-            rho=rho,
-        )
-        forecasts = [result.values for result in _forecasts(spec, restricted)]
+    for m in map(int, gaps):
+        results = _forecasts(past, horizon, m, omega, rho, [dummy.values[m:] for dummy in dummies])
+        forecasts = [result.values for result in results]
         worst = 0.0
         for i in range(len(forecasts)):
             for j in range(i + 1, len(forecasts)):

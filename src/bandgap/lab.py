@@ -99,8 +99,6 @@ class NoisySeries:
 
     series: Series
     eta_norm: float
-    sigma: float
-    seed: int | None
 
 
 def add_noise(series: Series, sigma: float, seed: int | None, mask: ObservationMask | None = None) -> NoisySeries:
@@ -114,13 +112,13 @@ def add_noise(series: Series, sigma: float, seed: int | None, mask: ObservationM
     if mask is not None and mask.window != series.window:
         raise GeometryError("mask and series windows differ")
     if sigma == 0:
-        return NoisySeries(series=series, eta_norm=0.0, sigma=0.0, seed=seed)
+        return NoisySeries(series=series, eta_norm=0.0)
     rng = np.random.default_rng(seed)
     eta = sigma * rng.standard_normal(series.window.shape)
     if mask is not None:
         eta[tuple(mask.offsets.T)] = 0.0
     noisy = Series(window=series.window, values=series.values + eta)
-    return NoisySeries(series=noisy, eta_norm=float(np.linalg.norm(eta)), sigma=sigma, seed=seed)
+    return NoisySeries(series=noisy, eta_norm=float(np.linalg.norm(eta)))
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +267,9 @@ class ExperimentConfig:
             raise ParameterError("sweep values must be strictly increasing")
         if len(self.seeds) < 1:
             raise ParameterError("at least one trial seed is required")
+        # numpy refuses a negative seed; a range is checked at its ends, so it is never expanded
+        if min((self.seeds[0], self.seeds[-1]) if isinstance(self.seeds, range) else self.seeds) < 0:
+            raise ParameterError("trial seeds must be nonnegative")
         numbers = [self.sigma, 0.0 if self.rho is None else self.rho]
         if self.sweep in ("noise", "rho"):
             numbers.extend(self.values)

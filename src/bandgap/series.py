@@ -53,17 +53,6 @@ class Series:
             raise GeometryError(f"index {t!r} outside window [{self.window.lo}, {self.window.hi}]")
         return float(self.values[self.window.offset_of(t)])
 
-    def restricted(self, window: IndexWindow) -> "Series":
-        """Slice out a sub-window."""
-        if window.ndim != self.ndim:
-            raise GeometryError("sub-window dimensionality mismatch")
-        if not (self.window.contains(window.lo) and self.window.contains(window.hi)):
-            raise GeometryError("sub-window is not contained in the series window")
-        lo_off = self.window.offset_of(window.lo)
-        hi_off = self.window.offset_of(window.hi)
-        slicer = tuple(slice(a, b + 1) for a, b in zip(lo_off, hi_off))
-        return Series(window=window, values=self.values[slicer])
-
     @classmethod
     def zeros(cls, window: IndexWindow) -> "Series":
         return cls(window=window, values=np.zeros(window.shape))

@@ -11,7 +11,7 @@ import pytest
 
 from bandgap import BandLimit, IndexWindow, Series, SolverError, recover_single_value
 from bandgap.cli import _emit, main
-from bandgap.masks import MAX_MISSING, MAX_WINDOW_SIZE
+from bandgap.masks import MAX_MISSING, MAX_WINDOW_SIZE, make_mask
 from bandgap.series import write_series_csv
 
 
@@ -303,6 +303,21 @@ class TestForecastCommand:
         write_series_csv(past, path)
         assert run(["forecast", "--input", str(path), "--horizon", "12", "--gap", "12"]) == 2
 
+    @pytest.mark.parametrize("argv, code, phrase", [
+        (["--input", "{gappy}"], 3, "past series has gaps at [-7]"),
+        (["--input", "{past}", "--dummy", "{gappy_dummy}"], 3, "dummy series has gaps"),
+        (["--input", "{past}", "--horizon", "0"], 2, "forecast horizon must be at least 1"),
+    ], ids=["past-absent-row", "dummy-absent-row", "horizon-0"])
+    def test_refused_input(self, tmp_path, capsys, argv, code, phrase):
+        paths = {name: tmp_path / f"{name}.csv" for name in ("past", "gappy", "gappy_dummy")}
+        write_series_csv(Series.zeros(IndexWindow(-60, 0)), paths["past"])
+        past_rows = paths["past"].read_text().splitlines()
+        paths["gappy"].write_text("\n".join(row for row in past_rows if not row.startswith("-7,")) + "\n")
+        write_series_csv(Series.zeros(IndexWindow(13, 60)), paths["gappy_dummy"],
+                         mask=make_mask(IndexWindow(13, 60), [20]))
+        got, error, _ = run_refused(["forecast", *(a.format(**paths) for a in argv)], capsys)
+        assert got == code and phrase in error["message"]
+
     def test_dummy_file(self, tmp_path):
         rng = np.random.default_rng(57)
         past = Series(window=IndexWindow(-60, 0), values=rng.standard_normal(61))
@@ -412,6 +427,10 @@ class TestDiagnoseCommand:
 
     def test_empty_missing_without_sweep(self):
         assert run(["diagnose", "--omega", "0.25"]) == 3
+
+    def test_gap_size_zero_is_parameter_error(self, capsys):
+        code, error, _ = run_refused(["diagnose", "--omega", "0.5", "--gap-sizes", "0"], capsys)
+        assert code == 2 and error["message"] == "--gap-sizes must be positive integers"
 
 
 class TestSimulateCommand:

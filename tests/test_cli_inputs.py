@@ -1,0 +1,214 @@
+"""Property: every CLI input ends in a documented exit code, within a memory bound.
+
+`cli.main` runs in-process on drawn argv, series-file bytes and config JSON.
+Sizes come from small ranges (windows of a few hundred samples, at most
+200 rows, at most 3 trials) so that one example takes milliseconds; the
+caps themselves are tested in test_cli.py.  Hostile values (NaN, infinity,
+negative, 2**70, strings, null, lists, binary bytes) are drawn beside
+valid ones.  The property: the exit code is 0, 2, 3 or 4; a non-zero exit
+writes exactly one `{"error": {...}}` JSON line on stderr and no warning;
+the traced allocation peak stays under 64 MiB.
+"""
+
+import contextlib
+import io
+import json
+import math
+import tracemalloc
+import warnings
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from bandgap.cli import main
+
+PEAK_BOUND = 64 * 2**20
+HUGE = 2**70
+
+HOSTILE = st.sampled_from(["nan", "inf", "-inf", "-1", str(HUGE), "1.5", "abc", "", "0x10"])
+JSON_HOSTILE = st.sampled_from([math.nan, math.inf, -1, HUGE, "abc", None, [1, 2], {"a": 1}])
+CORRUPTIONS = st.sampled_from([0, 0, 1, 2])  # how many fields of a valid input turn hostile
+
+SPANS = st.tuples(st.integers(-60, 60), st.integers(0, 12)).map(lambda p: f"{p[0]}..{p[0] + p[1]}")
+SPECS_1D = st.lists(st.one_of(SPANS, st.integers(-60, 60).map(str)), min_size=1, max_size=3).map(", ".join)
+SPECS_2D = st.tuples(st.integers(-12, 12), st.integers(0, 3), st.integers(-12, 12), st.integers(0, 3)).map(
+    lambda p: f"{p[0]}..{p[0] + p[1]} x {p[2]}..{p[2] + p[3]}")
+BAD_SPECS = st.sampled_from(["x", "1..", "3..1", f"0..{HUGE}", "0, 400000000", "1..5 x", "(1,2)", "-5..-10"])
+GAP_SIZES = st.tuples(st.integers(1, 30), st.integers(0, 10)).map(lambda p: f"{p[0]}..{p[0] + p[1]}")
+BAD_GAP_SIZES = st.sampled_from(["0", "-1", "1..5000", "1..3 x 1..3", "3, 1"])
+FRACTIONS = st.floats(0.02, 0.98).map(lambda f: f"{f:.3g}")
+BAD_FRACTIONS = st.sampled_from(["0", "1", "-0.5", "1e-310"])
+RHOS = st.sampled_from(["0", "1e-4", "0.1"])
+
+SAMPLES = st.one_of(st.floats(-10, 10).map(repr), st.sampled_from(["nan", "inf", "1e400", "", "abc", "0x1p3"]))
+HEADERS = st.sampled_from(["t,value"] * 15 + ["\ufefft,value", "T, Value", "time,value", "t1,t2,value", "t,value,extra"])
+
+
+@st.composite
+def series_bytes(draw, lo=None, hi=None):
+    """A series file: mostly rows on one 1D range, sometimes 2D rows or bytes that are no CSV at all."""
+    kind = draw(st.sampled_from(["range", "range", "range", "scatter", "2d", "binary"]))
+    if kind == "binary":
+        return draw(st.binary(max_size=200))
+    if kind == "2d":
+        header = "t1,t2,value"
+        rows = [f"{a},{b},{v}" for a, b, v in draw(st.lists(
+            st.tuples(st.integers(-8, 8), st.integers(-8, 8), SAMPLES), min_size=1, max_size=200))]
+    else:
+        header = draw(HEADERS)
+        if kind == "scatter":
+            index = draw(st.lists(st.integers(-100, 100), min_size=1, max_size=200))
+        else:
+            lo = draw(st.integers(-150, 50 if hi is None else hi)) if lo is None else lo
+            hi = draw(st.integers(lo, lo + 150)) if hi is None else hi
+            index = list(range(lo, hi + 1))
+        rows = [f"{t},{draw(st.floats(-10, 10))!r}" for t in index]
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+            k = draw(st.integers(0, len(rows) - 1))
+            fault = draw(st.sampled_from(["drop", "repeat", "fraction", "sample", "comment", "blank"]))
+            if fault == "drop":
+                del rows[k]
+            elif fault == "repeat":
+                rows.insert(k, rows[k])
+            elif fault == "fraction":
+                rows[k] = f"{index[min(k, len(index) - 1)]}.5,1.0"
+            elif fault == "sample":
+                rows[k] = f"{rows[k].split(',')[0]},{draw(SAMPLES)}"
+            elif fault == "comment":
+                rows.insert(k, "# comment")
+            else:
+                rows.insert(k, "")
+            if not rows:
+                break
+    return ("\n".join([header, *rows]) + "\n").encode("utf-8")
+
+
+def flags(draw, valid: dict, hostile: dict, required=()) -> list[str]:
+    """`--name=value` tokens: each optional flag is present half the time, a required one seven
+    times in eight; a few of them take a hostile value."""
+    present = [name for name in valid if draw(st.integers(0, 7)) < (7 if name in required else 4)]
+    bad = set(draw(st.permutations(present))[:draw(CORRUPTIONS)])
+    return [f"{name}={draw(st.one_of(HOSTILE, hostile.get(name, HOSTILE)) if name in bad else valid[name])}"
+            for name in present]
+
+
+COMMON = {"--format": st.sampled_from(["json", "csv"])}
+COMMON_HOSTILE = {"--format": st.just("xml")}
+
+
+@st.composite
+def recover_inputs(draw):
+    valid = {"--missing": st.one_of(SPECS_1D, SPECS_1D, SPECS_1D, SPECS_2D), "--omega": FRACTIONS, "--rho": RHOS,
+             **COMMON}
+    hostile = {"--missing": BAD_SPECS, "--omega": BAD_FRACTIONS, "--rho": st.just("1e300"), **COMMON_HOSTILE}
+    if draw(st.integers(0, 3)) == 0:
+        valid["--omega2"] = FRACTIONS
+    argv = ["recover", "--input", "{series}", *flags(draw, valid, hostile, ("--missing", "--omega"))]
+    # three files in four cover every index a 1D spec can name
+    covering = series_bytes(lo=draw(st.integers(-100, -72)), hi=draw(st.integers(72, 97)))
+    return argv, {"series": draw(st.one_of(covering, covering, covering, series_bytes()))}
+
+
+@st.composite
+def forecast_inputs(draw):
+    gap = draw(st.integers(4, 30))
+    valid = {"--gap": st.just(str(gap)), "--horizon": st.integers(1, 3).map(str),
+             "--n": st.integers(gap + 1, 1000).map(str), "--omega": FRACTIONS, "--rho": RHOS, **COMMON}
+    hostile = {"--gap": st.sampled_from(["-2", "0", "3"]), "--horizon": st.sampled_from(["0", "30"]),
+               "--n": st.sampled_from(["-5", "4", str(gap)]), "--omega": BAD_FRACTIONS,
+               "--rho": st.just("1e300"), **COMMON_HOSTILE}
+    if draw(st.booleans()):
+        del valid["--n"]  # the dummy file sets n
+        start = gap + 1 if draw(st.integers(0, 3)) else draw(st.integers(-5, 40))
+        files = {"dummy": draw(series_bytes(lo=start, hi=draw(st.integers(start, start + 150))))}
+        argv = ["forecast", "--input", "{series}", "--dummy", "{dummy}"]
+    else:
+        files, argv = {}, ["forecast", "--input", "{series}"]
+    files["series"] = draw(series_bytes(hi=0) if draw(st.integers(0, 3)) else series_bytes())
+    return argv + flags(draw, valid, hostile, ("--gap",)), files
+
+
+@st.composite
+def diagnose_inputs(draw):
+    valid = {"--missing": st.one_of(SPECS_1D, SPECS_2D), "--omega": FRACTIONS, "--gap-sizes": GAP_SIZES,
+             **COMMON}
+    hostile = {"--missing": BAD_SPECS, "--omega": BAD_FRACTIONS, "--gap-sizes": BAD_GAP_SIZES, **COMMON_HOSTILE}
+    if draw(st.integers(0, 3)) == 0:
+        valid["--omega2"] = FRACTIONS
+    return ["diagnose", *flags(draw, valid, hostile, ("--omega", "--missing"))], {}
+
+
+@st.composite
+def config_doc(draw):
+    """A config with small valid fields, a few of them hostile, sometimes one deleted."""
+    sweep = draw(st.sampled_from(["window", "noise", "rho", "gap"]))
+    small = {"window": st.integers(1, 120), "gap": st.integers(1, 12)}.get(sweep, st.floats(0, 1))
+    doc = {"sweep": sweep, "values": sorted(set(draw(st.lists(small, min_size=1, max_size=3)))),
+           "omega": draw(st.floats(0.05, 0.95)), "synth_band": draw(st.floats(0.05, 0.95))}
+    if draw(st.booleans()):
+        doc["seeds"] = draw(st.lists(st.integers(0, 100), min_size=1, max_size=3, unique=True))
+    else:
+        doc.update(seed=draw(st.integers(0, 100)), trials=draw(st.integers(1, 3)))
+    optional = {"missing": st.sampled_from(["1..5", "0", "-3..3", "1..5 x 1..2", "bogus"]),
+                "window": st.integers(10, 120), "rho": st.floats(0, 0.1), "sigma": st.floats(0, 0.5)}
+    doc.update({name: draw(valid) for name, valid in optional.items() if draw(st.booleans())})
+    names = draw(st.permutations(sorted(doc)))
+    for name in names[:draw(CORRUPTIONS)]:
+        doc[name] = draw(JSON_HOSTILE)
+    if draw(st.integers(0, 7)) == 0:
+        del doc[names[-1]]
+    return doc
+
+
+@st.composite
+def simulate_inputs(draw):
+    kind = draw(st.sampled_from(["doc", "doc", "doc", "list", "text"]))
+    if kind == "doc":
+        text = json.dumps(draw(config_doc()))
+    elif kind == "list":
+        text = json.dumps([draw(config_doc())])
+    else:
+        text = draw(st.sampled_from(["{not json", "", "null", "3", '"noise"', "\ufeff{}"]))
+    argv = ["simulate", "--config", "{config}", *flags(draw, COMMON, COMMON_HOSTILE)]
+    return argv, {"config": text.encode("utf-8")}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-inputs")
+
+
+def run_cli(argv, files, directory):
+    """Exit code, stderr lines, warnings and traced peak of one in-process CLI call."""
+    paths = {}
+    for name, data in files.items():
+        path = directory / name
+        path.write_bytes(data)
+        paths[name] = str(path)
+    argv = [token.format(**paths) for token in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return code, stderr.getvalue().splitlines(), caught, peak
+
+
+@settings(max_examples=80, deadline=None)
+@given(inputs=st.one_of(recover_inputs(), forecast_inputs(), diagnose_inputs(), simulate_inputs()))
+@example(inputs=(["simulate", "--config", "{config}"], {"config": json.dumps(
+    {"sweep": "noise", "values": [0.1], "seeds": [-1], "omega": 0.25, "synth_band": 0.2}).encode()}))
+def test_every_input_ends_in_a_documented_exit(inputs, workdir):
+    code, lines, caught, peak = run_cli(*inputs, workdir)
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert len(lines) == 1 and not caught, (lines, [str(w.message) for w in caught])
+        doc = json.loads(lines[0])
+        assert list(doc) == ["error"] and set(doc["error"]) == {"category", "message"}
+    assert peak < PEAK_BOUND

@@ -1,5 +1,7 @@
 """Dummy-interpolation forecasting: geometry, trends, and sensitivity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from bandgap import (
     forecast,
 )
 from bandgap.kernel import kernel_profile
+from bandgap.masks import MAX_WINDOW_SIZE
 
 OMEGA = BandLimit.from_pi_fraction(0.25)
 SYNTH = 0.2 * np.pi
@@ -49,6 +52,7 @@ def test_values_are_prefix_of_full_gap(default_geometry):
     result = forecast(ForecastSpec(past=past, horizon=3, gap=12, omega=OMEGA, n=n))
     assert result.full_gap.shape == (12,)
     assert np.array_equal(result.values, result.full_gap[:3])
+    assert np.array_equal(result.dummy, np.zeros(n - 12))  # the zero dummy on {13..n}
 
 
 def test_horizon_must_be_below_gap(default_geometry):
@@ -89,6 +93,7 @@ def test_tracks_true_continuation(default_geometry):
     m = 12
     dummy = Series(window=IndexWindow(m + 1, n), values=full[q + 1 + m :])
     result = forecast(ForecastSpec(past=past, horizon=3, gap=m, omega=OMEGA, dummy=dummy))
+    assert result.dummy is dummy.values
     truth = full[q + 1 : q + 4]
     rel = np.max(np.abs(result.values - truth)) / np.max(np.abs(truth))
     assert rel <= 5e-2
@@ -163,3 +168,30 @@ class TestDummySensitivity:
             dummy_sensitivity(past, 3, [misaligned, misaligned], [4, 8], OMEGA)
         with pytest.raises(GeometryError):
             dummy_sensitivity(past, 3, [future, Series.zeros(IndexWindow(1, n + 1))], [4], OMEGA)
+        with pytest.raises(GeometryError, match=f"largest gap {n} leaves no dummy range"):
+            dummy_sensitivity(past, 3, [future, future], [4, n], OMEGA)
+        with pytest.raises(ParameterError, match=r"gap length \(-1\) must exceed"):
+            dummy_sensitivity(past, 3, [future, future], [-1, 4], OMEGA)
+
+
+HALF = MAX_WINDOW_SIZE // 2  # a past on {-HALF..0} and a future on {1..HALF} exceed the cap by one
+PAST = Series(window=IndexWindow(-HALF, 0), values=np.broadcast_to(0.0, HALF + 1))
+FUTURE = Series(window=IndexWindow(1, HALF), values=np.broadcast_to(1.0, HALF))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: dummy_sensitivity(PAST, 3, [FUTURE, FUTURE], [4, 12], OMEGA),
+    lambda: forecast(ForecastSpec(past=PAST, horizon=3, gap=12, omega=OMEGA,
+                                  dummy=Series(window=IndexWindow(13, HALF), values=FUTURE.values[12:]))),
+    lambda: forecast(ForecastSpec(past=PAST, horizon=3, gap=12, omega=OMEGA, n=HALF)),
+], ids=["dummy_sensitivity", "forecast-dummy", "forecast-zero-dummy"])
+def test_window_cap_is_checked_before_allocation(call):
+    # The inputs are broadcast views, so the window is refused before anything of its size exists.
+    tracemalloc.start()
+    try:
+        with pytest.raises(GeometryError, match=rf"window of shape \({MAX_WINDOW_SIZE + 1},\) exceeds"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -196,6 +196,10 @@ class TestExperiments:
         with pytest.raises(ParameterError):
             ExperimentConfig(sweep="window", values=(250,), seeds=(), omega=0.25 * np.pi,
                              synth_band=0.2 * np.pi)
+        for seeds in [(3, -1), range(-1, 10**9), range(2, -2, -1)]:
+            with pytest.raises(ParameterError, match="seeds must be nonnegative"):
+                ExperimentConfig(sweep="window", values=(250,), seeds=seeds, omega=0.25 * np.pi,
+                                 synth_band=0.2 * np.pi)
 
     def test_from_json_expands_seed(self):
         config = ExperimentConfig.from_json_dict({

@@ -40,14 +40,6 @@ def test_value_at_2d():
     assert s.value_at((1, 1)) == 8.0
 
 
-def test_restricted():
-    s = Series(window=IndexWindow(0, 9), values=np.arange(10.0))
-    sub = s.restricted(IndexWindow(3, 5))
-    assert sub.values.tolist() == [3.0, 4.0, 5.0]
-    with pytest.raises(GeometryError):
-        s.restricted(IndexWindow(5, 12))
-
-
 def test_csv_round_trip_1d(tmp_path):
     path = tmp_path / "series.csv"
     rng = np.random.default_rng(11)
