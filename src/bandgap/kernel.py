@@ -27,6 +27,11 @@ from .errors import ParameterError
 # Entries of the largest dense lag matrix `lowpass_filter` gathers (512 KiB).
 DIRECT_PAIRS = 1 << 16
 
+# The longest axis whose taps spectrum outlives its filter call.  At most
+# four are kept, of at most 2 MiB each; a spectrum for an axis of 2^22
+# samples would take 64 MiB.
+TAPS_CACHE_AXIS = 1 << 17
+
 
 @dataclass(frozen=True)
 class BandLimit:
@@ -110,13 +115,17 @@ def lowpass_filter(omega: float, values: np.ndarray, offsets, axis: int = 0) -> 
     return np.take(full, offsets, axis=axis)
 
 
-@functools.lru_cache(maxsize=4)
 def _taps_spectrum(omega: float, n: int) -> np.ndarray:
     """rfft of h over the lags -(n-1)..(n-1), laid out circularly in fft_length(2n - 1) (read-only).
 
     It depends on omega and the axis length alone, so the calls of one
-    geometry, or of many series on one window, share it.
+    geometry, or of many series on one window, share it: the four most
+    recently used are kept for axes of up to TAPS_CACHE_AXIS samples.
     """
+    return (_kept_taps if n <= TAPS_CACHE_AXIS else _taps)(omega, n)
+
+
+def _taps(omega: float, n: int) -> np.ndarray:
     size = fft_length(2 * n - 1)
     taps = np.zeros(size)
     h = kernel_profile(omega, np.arange(n))
@@ -125,3 +134,6 @@ def _taps_spectrum(omega: float, n: int) -> np.ndarray:
     spectrum = np.fft.rfft(taps)
     spectrum.flags.writeable = False
     return spectrum
+
+
+_kept_taps = functools.lru_cache(maxsize=4)(_taps)

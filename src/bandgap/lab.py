@@ -229,6 +229,16 @@ def oracle_grid_sensitivity(problem: RecoveryProblem, grid: int = ORACLE_DEFAULT
 SWEEPS = ("window", "noise", "rho", "gap")
 
 
+def _integer(value, field: str) -> int:
+    """`value` as an int; a number with a fractional part is refused, not truncated (30.0 is 30)."""
+    try:
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError("fractional")
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"{field}: {value!r} is not a whole number") from exc
+
+
 @dataclass
 class ExperimentConfig:
     """One sweep over a single parameter, repeated over seeded trials.
@@ -239,6 +249,8 @@ class ExperimentConfig:
         rho values must be finite and nonnegative.
     seeds: one seed per trial (a plain `seed` and `trials` in JSON give
         the range seed, seed+1, ..., which is never expanded in memory).
+        Seeds, `window` and window or gap values are whole numbers: a
+        fraction is refused, not truncated, and 30.0 is 30.
         omega and synth_band are radians here; the JSON form uses
         fractions of pi.
     """
@@ -256,17 +268,23 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.sweep not in SWEEPS:
             raise ParameterError(f"unknown sweep {self.sweep!r}; expected one of {SWEEPS}")
-        convert = int if self.sweep in ("window", "gap") else float
+        integral = self.sweep in ("window", "gap")
+        field = f"{self.sweep} sweep values"
         try:
-            self.values = tuple(convert(v) for v in self.values)
+            self.values = tuple(_integer(v, field) if integral else float(v) for v in self.values)
+        except ParameterError:
+            raise
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ParameterError(f"{self.sweep} sweep values must be numbers: {exc}") from exc
+            raise ParameterError(f"{field} must be numbers: {exc}") from exc
         if len(self.values) == 0:
             raise ParameterError("sweep values must be nonempty")
         if list(self.values) != sorted(set(self.values)):
             raise ParameterError("sweep values must be strictly increasing")
+        if not isinstance(self.seeds, range):
+            self.seeds = tuple(_integer(s, "seeds") for s in self.seeds)
         if len(self.seeds) < 1:
             raise ParameterError("at least one trial seed is required")
+        self.window = _integer(self.window, "window")
         # numpy refuses a negative seed; a range is checked at its ends, so it is never expanded
         if min((self.seeds[0], self.seeds[-1]) if isinstance(self.seeds, range) else self.seeds) < 0:
             raise ParameterError("trial seeds must be nonnegative")
@@ -285,10 +303,10 @@ class ExperimentConfig:
             sweep = doc["sweep"]
             values = tuple(doc["values"])
             if "seeds" in doc:
-                seeds = tuple(int(s) for s in doc["seeds"])
+                seeds = tuple(doc["seeds"])
             else:
-                base = int(doc.get("seed", 0))
-                seeds = range(base, base + int(doc.get("trials", 1)))
+                base = _integer(doc.get("seed", 0), "seed")
+                seeds = range(base, base + _integer(doc.get("trials", 1), "trials"))
             return cls(
                 sweep=sweep,
                 values=values,
@@ -296,7 +314,7 @@ class ExperimentConfig:
                 omega=float(doc["omega"]) * np.pi,
                 synth_band=float(doc["synth_band"]) * np.pi,
                 missing=str(doc.get("missing", "1..5")),
-                window=int(doc.get("window", 250)),
+                window=doc.get("window", 250),
                 rho=None if doc.get("rho", 0.0) is None else float(doc.get("rho", 0.0)),
                 sigma=float(doc.get("sigma", 0.0)),
             )

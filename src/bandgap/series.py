@@ -7,15 +7,18 @@ masked series and reading it back reproduces both values and gaps.
 
 Reading has two paths.  The row parser `_read_rows` defines the format
 (comment and blank lines, CSV quoting, `int`/`float` fields) and names
-the line of every error.  `read_series_csv` first tries one `np.loadtxt`
-call over the body; whatever that path refuses, the row parser reads or
-rejects, so both paths give the same series or the same exception.
+the line of every error.  `read_series_csv` first hands the path of a
+regular file to one `np.loadtxt` call, which streams the body to numpy's
+C reader in large chunks; whatever that path refuses, the row parser
+reads or rejects, so both paths give the same series or the same
+exception.  Numpy opens a path by its suffix and decompresses
+`.gz`, `.bz2`, `.xz` and `.lzma` files, so files with those suffixes
+always go to the row parser, which reads every file as plain text.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import os
 import warnings
 from dataclasses import dataclass
@@ -27,6 +30,9 @@ from .masks import MAX_WINDOW_SIZE, Index, IndexWindow, ObservationMask, as_indi
 
 # The header of a series file, by dimensionality.
 _HEADERS = (["t", "value"], ["t1", "t2", "value"])
+
+# Suffixes that numpy's file opener decompresses (numpy.lib._datasource).
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,15 +79,17 @@ def read_series_csv(path) -> tuple[Series, list[Index]]:
     is zero in the returned series.  A window above MAX_WINDOW_SIZE entries
     is rejected before anything of its size is allocated.
 
-    The body of a regular file is parsed in one `np.loadtxt` call.  Any
-    ValueError on that path sends the file to the row parser, `_read_rows`,
-    which defines the format and whose result or exception is final:
-    comment lines, quotes and malformed rows are read or reported exactly
-    as it does, with the error naming the line in the file.  A file that is
-    not regular, such as a pipe, may not be readable twice, so it goes to
-    the row parser directly.
+    The body of a regular file is parsed by one `np.loadtxt` call on its
+    path.  Any ValueError on that path sends the file to the row parser,
+    `_read_rows`, which defines the format and whose result or exception
+    is final: comment lines, quotes and malformed rows are read or reported
+    exactly as it does, with the error naming the line in the file.  Two
+    kinds of file go to the row parser directly: one that is not regular,
+    such as a pipe, which may not be readable twice, and one whose suffix
+    numpy would decompress (`.gz`, `.bz2`, `.xz`, `.lzma`), which is read
+    as plain text like any other.
     """
-    if os.path.isfile(path):
+    if os.path.isfile(path) and os.path.splitext(path)[1] not in _COMPRESSED:
         try:
             return _read_table(path)
         except ValueError:
@@ -92,20 +100,23 @@ def read_series_csv(path) -> tuple[Series, list[Index]]:
 def _read_table(path) -> tuple[Series, list[Index]]:
     """The fast path: a header on line 1, then only numeric rows and blank lines.
 
+    numpy gets the path, not the text: given a file name it reads the file
+    in large chunks, where any other source is fed to it line by line.  The
+    path is made absolute, so that numpy's opener cannot take it for a URL.
     Index columns parse as exact int64 (an overflow is a ValueError).  A
     non-finite sample, a repeated index or an empty body is refused too,
     so that the row parser names its line.
     """
     with open(path, "r", newline="", encoding="utf-8") as f:
         ndim = _parse_header(f.readline().split(","))
-        body = f.read()
-    if not body.strip():
-        raise ValueError("no data rows")
     with warnings.catch_warnings():
         # older numpy reads "1.5" in an integer column as 1, with only this warning
         warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
-        table = np.loadtxt(io.StringIO(body), delimiter=",", dtype=[("t", np.int64, (ndim,)), ("v", np.float64)],
-                           comments=None, quotechar=None, ndmin=1)
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        table = np.loadtxt(os.path.abspath(path), delimiter=",", dtype=[("t", np.int64, (ndim,)), ("v", np.float64)],
+                           comments=None, quotechar=None, skiprows=1, ndmin=1, encoding="utf-8")
+    if not len(table):
+        raise ValueError("no data rows")
     if not np.isfinite(table["v"]).all():
         raise ValueError("non-finite sample")
     # The lines the rows would have if no blank line was skipped; an error

@@ -489,6 +489,38 @@ class TestSimulateCommand:
         assert code == 2 and error["category"] == "parameter"
         assert peak < 16 * 2**20
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"values": [30.9, 40.2]}, "window sweep values: 30.9"),
+        ({"sweep": "gap", "values": [2, 3.5]}, "gap sweep values: 3.5"),
+        ({"seed": 1.7}, "seed: 1.7"),
+        ({"seeds": [1, 1.5]}, "seeds: 1.5"),
+        ({"trials": 2.9}, "trials: 2.9"),
+        ({"sweep": "noise", "values": [0.0], "window": 50.7}, "window: 50.7"),
+    ], ids=["window-values", "gap-values", "seed", "seeds", "trials", "window"])
+    def test_fractional_count_is_parameter_error(self, tmp_path, capsys, fields, message):
+        """A field that counts samples, trials or seeds refuses a fraction instead of truncating it."""
+        config = tmp_path / "fractional.json"
+        config.write_text(json.dumps({"sweep": "window", "values": [30, 40], "trials": 2, "omega": 0.25,
+                                      "synth_band": 0.2, **fields}))
+        code, error, _ = run_refused(["simulate", "--config", str(config)], capsys)
+        assert code == 2 and error["category"] == "parameter"
+        assert f"{message} is not a whole number" in error["message"]
+
+    def test_whole_floats_count_as_integers(self, tmp_path):
+        base = {"sweep": "window", "omega": 0.25, "synth_band": 0.2}
+        reports = []
+        for numbers in [{"values": [30, 40], "seed": 3, "trials": 2, "window": 50},
+                        {"values": [30.0, 40.0], "seed": 3.0, "trials": 2.0, "window": 50.0}]:
+            config, out = tmp_path / "config.json", tmp_path / "report.json"
+            config.write_text(json.dumps({**base, **numbers}))
+            assert run(["simulate", "--config", str(config), "--output", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        strip = lambda rows: [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
+        assert strip(reports[1]["rows"]) == strip(reports[0]["rows"])
+        assert [(r["value"], r["seed"]) for r in reports[1]["rows"]] == [(30, 3), (30, 4), (40, 3), (40, 4)]
+        assert all(type(r["value"]) is int and type(r["seed"]) is int for r in reports[1]["rows"])
+        assert reports[1]["config"] == reports[0]["config"]
+
     def test_failing_value_is_recorded_once(self, tmp_path):
         config, out = tmp_path / "gap.json", tmp_path / "report.json"
         config.write_text(json.dumps({"sweep": "gap", "values": [5, 300], "seeds": [1, 2], "omega": 0.25,

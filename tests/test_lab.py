@@ -26,7 +26,7 @@ from bandgap import (
     recover_single_value,
     run_experiment,
 )
-from bandgap.kernel import _taps_spectrum, kernel_profile
+from bandgap.kernel import _kept_taps, kernel_profile
 from bandgap.masks import MAX_WINDOW_SIZE
 from bandgap.cli import main
 
@@ -200,6 +200,10 @@ class TestExperiments:
             with pytest.raises(ParameterError, match="seeds must be nonnegative"):
                 ExperimentConfig(sweep="window", values=(250,), seeds=seeds, omega=0.25 * np.pi,
                                  synth_band=0.2 * np.pi)
+        for fields in [{"values": (250.5,)}, {"seeds": (1.5,)}, {"window": 50.7}]:
+            with pytest.raises(ParameterError, match="is not a whole number"):
+                ExperimentConfig(**{"sweep": "window", "values": (250,), "seeds": (0,), "omega": 0.25 * np.pi,
+                                    "synth_band": 0.2 * np.pi, **fields})
 
     def test_from_json_expands_seed(self):
         config = ExperimentConfig.from_json_dict({
@@ -371,7 +375,7 @@ def test_trials_are_generated_one_at_a_time():
     def peak(trials):
         config = ExperimentConfig(sweep="noise", values=(0.1,), seeds=tuple(range(trials)),
                                   omega=0.25 * np.pi, synth_band=0.2 * np.pi, window=250_000)
-        _taps_spectrum.cache_clear()  # both runs compute the filter taps they use
+        _kept_taps.cache_clear()  # both runs compute the filter taps they use
         tracemalloc.start()
         try:
             run_experiment(config)

@@ -181,7 +181,7 @@ def test_repeat_filter_reuses_the_taps_spectrum(monkeypatch):
         return kernel_profile(omega, values)
 
     monkeypatch.setattr(kernel, "kernel_profile", counting)
-    kernel._taps_spectrum.cache_clear()
+    kernel._kept_taps.cache_clear()
     values = np.random.default_rng(5).standard_normal((60, 3))
     offsets = [2, 17, 29, 40]  # more offsets than lines: the FFT path
     first = lowpass_filter(0.7, values, offsets)
@@ -197,14 +197,39 @@ def test_filter_sums_directly_when_lines_outnumber_offsets(monkeypatch):
     """At least as many lines as offsets: one product with the dense lag matrix, equal to the FFT path."""
     grid = np.random.default_rng(6).standard_normal((70, 50))
     offsets = [0, 3, 4, 31, 69]
-    kernel._taps_spectrum.cache_clear()
+    kernel._kept_taps.cache_clear()
     direct = lowpass_filter(0.45, grid, offsets, axis=0)
-    assert kernel._taps_spectrum.cache_info().misses == 0
+    assert kernel._kept_taps.cache_info().misses == 0
     want = np.array([[np.sum(h(0.45, k - np.arange(70)) * grid[:, c]) for c in range(50)] for k in offsets])
     assert np.max(np.abs(direct - want)) <= tolerance(grid)
     monkeypatch.setattr(kernel, "DIRECT_PAIRS", 0)
     assert np.max(np.abs(lowpass_filter(0.45, grid, offsets, axis=0) - direct)) <= tolerance(grid)
-    assert kernel._taps_spectrum.cache_info().misses == 1
+    assert kernel._kept_taps.cache_info().misses == 1
+
+
+def test_kept_taps_spectra_stay_within_their_budget():
+    """At most four taps spectra outlive their calls, 2 MiB each at most; the bench and ladder axes are kept."""
+    offsets = [0, 1, 2]  # more offsets than lines: the FFT path
+
+    def kept_after(n):
+        kernel._kept_taps.cache_clear()
+        values = np.zeros(n)
+        tracemalloc.start()
+        try:
+            for omega in (0.3, 0.5, 0.7, 0.9, 1.1):
+                lowpass_filter(omega, values, offsets)
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    assert kept_after(kernel.TAPS_CACHE_AXIS) <= 4 * (kernel.TAPS_CACHE_AXIS + 1) * 16 + 2**16
+    assert kept_after(kernel.TAPS_CACHE_AXIS + 1) < 2**16  # one sample longer, none is kept (not 8 MiB)
+    kernel._kept_taps.cache_clear()
+    for n in (256, 384, 40_001, 100_001):
+        lowpass_filter(0.3, np.zeros(n), offsets)
+    for n in (256, 384, 40_001, 100_001):
+        lowpass_filter(0.3, np.ones(n), offsets)
+    assert kernel._kept_taps.cache_info()[:2] == (4, 4)  # hits, misses
 
 
 def test_rhs_at_window_1e5_gaps_2e3_stays_small():

@@ -3,6 +3,7 @@
 import csv
 import subprocess
 import sys
+import urllib.request
 import warnings
 from pathlib import Path
 
@@ -242,21 +243,58 @@ def _outcome(read, path):
     return series.window, series.values.tobytes(), absent
 
 
+# Names numpy's file opener reads as they are or decompresses by suffix.
+SUFFIXES = [".csv", ".gz", ".bz2", ".xz", ".lzma", ""]
+
+
 @settings(max_examples=500, deadline=None)
-@given(series_files())
-def test_reader_agrees_with_the_row_parser(tmp_path_factory, data):
-    path = tmp_path_factory.getbasetemp() / "differential.csv"
+@given(series_files(), st.sampled_from(SUFFIXES))
+def test_reader_agrees_with_the_row_parser(tmp_path_factory, data, suffix):
+    path = tmp_path_factory.getbasetemp() / f"differential{suffix}"
     path.write_bytes(data)
     assert _outcome(read_series_csv, path) == _outcome(_read_rows, path)
 
 
 def test_plain_file_takes_the_table_path(tmp_path, monkeypatch):
+    """numpy gets the file name: it streams a named file in chunks, but any other source line by line."""
     path = tmp_path / "plain.csv"
     path.write_bytes(b"t1,t2,value\r\n0,1,2.5\r\n\r\n1,0,-1e-3\n")
+    sources = []
+    loadtxt = np.loadtxt
+
+    def recording(fname, *args, **kwargs):
+        sources.append(fname)
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", recording)
     monkeypatch.setattr(series_module, "_read_rows", lambda path: pytest.fail("the row parser ran"))
     back, absent = read_series_csv(path)
     assert back.window == IndexWindow((0, 0), (1, 1)) and absent == [(0, 0), (1, 1)]
     assert back.value_at((0, 1)) == 2.5 and back.value_at((1, 0)) == -1e-3
+    assert len(sources) == 1 and type(sources[0]) is str and Path(sources[0]) == path
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_compressed_suffix_is_read_as_plain_text(tmp_path, suffix):
+    text = "t,value\n0,1.5\n2,-3.0\n"
+    (tmp_path / "plain.csv").write_text(text)
+    (tmp_path / f"plain.csv{suffix}").write_text(text)
+    twin, absent = read_series_csv(tmp_path / "plain.csv")
+    back, back_absent = read_series_csv(tmp_path / f"plain.csv{suffix}")
+    assert back.window == twin.window and back_absent == absent == [1]
+    assert back.values.tobytes() == twin.values.tobytes()
+
+
+def test_a_url_like_file_name_is_read_as_a_local_file(tmp_path, monkeypatch):
+    # "http://localhost/s.csv" names the local file "http:/localhost/s.csv"; numpy's opener
+    # would download a name it takes for a URL
+    (tmp_path / "http:" / "localhost").mkdir(parents=True)
+    (tmp_path / "http:" / "localhost" / "s.csv").write_text("t,value\n0,1.5\n1,2.5\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(urllib.request, "urlopen", lambda *args, **kwargs: pytest.fail("a URL was opened"))
+    monkeypatch.setattr(series_module, "_read_rows", lambda path: pytest.fail("the row parser ran"))
+    back, absent = read_series_csv("http://localhost/s.csv")
+    assert absent == [] and back.values.tolist() == [1.5, 2.5]
 
 
 @pytest.mark.parametrize("text", ["t,value\n0,1.0\n2,3.0\n", "# a comment\nt,value\n0,1.0\n2,3.0\n"])
