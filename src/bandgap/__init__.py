@@ -45,7 +45,6 @@ from .operators import (
     assemble_rhs,
     diagnostics,
     eigenvalues,
-    with_rhs,
 )
 from .recovery import (
     RecoveryProblem,

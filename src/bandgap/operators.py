@@ -15,6 +15,8 @@ off on M: for a window of N samples that is O(N log N) time and O(N)
 memory, whatever the size of M, unless a dense product over the few
 offsets read is cheaper.
 
+A depends on the missing set and the band alone and a(x) on each series,
+so a `GapOperator` holds A only, and the solvers take a(x) as an argument.
 A is read-only once assembled, so what depends on it alone is computed
 once per matrix and reused by every caller: per rho, a blocked Cholesky
 factor of S = (1+rho)I - A and the margin 1 + rho - ||A|| = lambda_min(S),
@@ -25,7 +27,6 @@ computed only where it is the output (`eigenvalues`).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -55,15 +56,13 @@ LANCZOS_TOL = 1e-13
 
 @dataclass(frozen=True, eq=False)
 class GapOperator:
-    """Gap matrix over M x M, in the mask's canonical order, and an optional right-hand side.
+    """Gap matrix over M x M, in the mask's canonical order; a(x) is an argument of the solvers.
 
     The matrix is made read-only at construction.  Values computed from it
-    alone are memoised by :meth:`derived` and shared with every copy that
-    keeps the same matrix array, such as the ones :func:`with_rhs` makes.
+    alone are memoised by :meth:`derived`.
     """
 
     matrix: np.ndarray
-    rhs: np.ndarray | None = None
     _derived: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -130,7 +129,7 @@ def check_dims(mask: ObservationMask, omega: BandLimit) -> None:
 
 
 def assemble_operator(mask: ObservationMask, omega: BandLimit) -> GapOperator:
-    """Build the symmetric gap matrix for a mask (no right-hand side yet).
+    """Build the symmetric gap matrix for a mask.
 
     Entries are looked up per axis in a table of h over the lags
     0..max|t_i - t_j|, so the matrix is exactly symmetric and equal entry
@@ -194,14 +193,6 @@ def assemble_rhs(series: Series, mask: ObservationMask, omega: BandLimit) -> np.
         filtered = lowpass_filter(w, filtered, kept, axis=axis)
         picks.append(pick)
     return filtered[tuple(picks)]
-
-
-def with_rhs(op: GapOperator, rhs: np.ndarray) -> GapOperator:
-    """The operator with `rhs` attached; it shares the matrix and what was derived from it."""
-    rhs = np.asarray(rhs, dtype=np.float64)
-    if rhs.shape != (op.size,):
-        raise GeometryError(f"rhs length {rhs.shape} does not match operator size {op.size}")
-    return dataclasses.replace(op, rhs=rhs)
 
 
 def eigenvalues(op: GapOperator) -> np.ndarray:

@@ -34,7 +34,6 @@ from .operators import (
     assemble_rhs,
     check_dims,
     diagnostics,
-    with_rhs,
 )
 from .series import Series
 from .solvers import SolveReport, solve_direct
@@ -126,7 +125,7 @@ def prepare(
             raise GeometryError("series and mask are defined on different windows")
         if collapse:
             series = Series(window=mask.window, values=series.values.reshape(-1))
-        report = solve_direct(with_rhs(op, assemble_rhs(series, mask, omega)), rho)
+        report = solve_direct(op, rho, assemble_rhs(series, mask, omega))
         return RecoverySolution(
             values=dict(zip(missing, report.y.tolist())),
             operator_diagnostics=diag,

@@ -1,5 +1,9 @@
 """Direct and iterative solvers for the recovery equation (1+rho)*y = A*y + a.
 
+Each solver takes the gap operator A, rho and the right-hand side a of one
+series, and checks a; what depends on A and rho alone (factor, margin) is
+memoised on the operator and serves every right-hand side.
+
 For finite missing sets the matrix (1+rho)*I - A is symmetric positive
 definite (its eigenvalues are at least 1 + rho - ||A|| > 0), so the direct
 path solves with the operator's Cholesky factor, the same factor its margin
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonConvergenceError, ParameterError, SolverError
+from .errors import GeometryError, NonConvergenceError, ParameterError, SolverError
 from .operators import GapOperator, cholesky, diagnostics
 
 
@@ -52,12 +56,14 @@ class SolveReport:
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
-def _rhs(op: GapOperator) -> np.ndarray:
-    if op.rhs is None:
-        raise SolverError("operator has no right-hand side attached")
-    if not np.all(np.isfinite(op.rhs)):
+def _rhs(op: GapOperator, rhs: np.ndarray) -> np.ndarray:
+    """`rhs` as floats; a length other than |M| is a GeometryError, a non-finite entry a SolverError."""
+    rhs = np.asarray(rhs, dtype=np.float64)
+    if rhs.shape != (op.size,):
+        raise GeometryError(f"rhs length {rhs.shape} does not match operator size {op.size}")
+    if not np.all(np.isfinite(rhs)):
         raise SolverError("non-finite entries in the right-hand side")
-    return np.asarray(op.rhs, dtype=np.float64)
+    return rhs
 
 
 def _margin(op: GapOperator, rho: float) -> float:
@@ -71,38 +77,39 @@ def _margin(op: GapOperator, rho: float) -> float:
     return margin
 
 
-def _residual(op: GapOperator, rho: float, y: np.ndarray) -> float:
+def _residual(op: GapOperator, rho: float, a: np.ndarray, y: np.ndarray) -> float:
     """Norm of the equation residual; a non-finite one certifies nothing and is an error."""
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = float(np.linalg.norm((1.0 + rho) * y - op.matrix @ y - op.rhs))
+        residual = float(np.linalg.norm((1.0 + rho) * y - op.matrix @ y - a))
     if not np.isfinite(residual):
         raise SolverError(f"residual is not finite ({residual}); the solution cannot be certified")
     return residual
 
 
-def _report(op: GapOperator, rho: float, margin: float, y: np.ndarray, iterations: int,
-            method: str) -> SolveReport:
+def _report(op: GapOperator, rho: float, a: np.ndarray, margin: float, y: np.ndarray,
+            iterations: int, method: str) -> SolveReport:
     """A solve's report: its residual, the norm bound 1/margin, and an ill-conditioning warning."""
     warnings = ()
     if margin < CONDITION_WARN_THRESHOLD:
         warnings = (f"ill-conditioned system: 1 + rho - ||A|| = {margin:.3e} below threshold "
                     f"{CONDITION_WARN_THRESHOLD:.1e}",)
-    return SolveReport(y=y, residual=_residual(op, rho, y), iterations=iterations,
+    return SolveReport(y=y, residual=_residual(op, rho, a, y), iterations=iterations,
                        norm_bound=1.0 / margin, rho=rho, method=method, warnings=warnings)
 
 
-def solve_direct(op: GapOperator, rho: float) -> SolveReport:
-    """Solve ((1+rho)I - A) y = a by Cholesky factorization.
+def solve_direct(op: GapOperator, rho: float, rhs: np.ndarray) -> SolveReport:
+    """Solve ((1+rho)I - A) y = a for the right-hand side a = `rhs` by Cholesky factorization.
 
     The factor is kept on the operator, so further right-hand sides for the
-    same matrix and rho (operators made by `with_rhs`) cost two blocked
-    triangular solves each.
+    same operator and rho cost two blocked triangular solves each.
     """
     margin = _margin(op, rho)
-    return _report(op, rho, margin, cholesky(op, rho).solve(_rhs(op)), 0, "direct")
+    a = _rhs(op, rhs)
+    return _report(op, rho, a, margin, cholesky(op, rho).solve(a), 0, "direct")
 
 
-def solve_neumann(op: GapOperator, rho: float, config: SolverConfig | None = None) -> SolveReport:
+def solve_neumann(op: GapOperator, rho: float, rhs: np.ndarray,
+                  config: SolverConfig | None = None) -> SolveReport:
     """Solve by the geometric fixed-point iteration y <- (A y + a)/(1+rho).
 
     Stops once the successive-iterate distance certifies, through the
@@ -113,7 +120,7 @@ def solve_neumann(op: GapOperator, rho: float, config: SolverConfig | None = Non
     """
     config = config or SolverConfig()
     margin = _margin(op, rho)
-    a = _rhs(op)
+    a = _rhs(op, rhs)
     q = (1.0 + rho - margin) / (1.0 + rho)  # below 1, as the margin is positive
     threshold = config.tol * min(1.0, (1.0 - q) / q) if q > 0 else config.tol
     scale = 1.0 / (1.0 + rho)
@@ -124,13 +131,13 @@ def solve_neumann(op: GapOperator, rho: float, config: SolverConfig | None = Non
         step = float(np.linalg.norm(y_next - y))
         y = y_next
         if step <= threshold:
-            return _report(op, rho, margin, y, iterations, "neumann")
+            return _report(op, rho, a, margin, y, iterations, "neumann")
         iterations += 1
     raise NonConvergenceError(
         f"no convergence after {config.max_iter} iterations (last step {step:.3e}, "
         f"threshold {threshold:.3e})",
         iterate=y,
-        residual=_residual(op, rho, y),
+        residual=_residual(op, rho, a, y),
         iterations=config.max_iter,
     )
 

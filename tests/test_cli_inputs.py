@@ -1,13 +1,15 @@
 """Property: every CLI input ends in a documented exit code, within a memory bound.
 
-`cli.main` runs in-process on drawn argv, series-file bytes and config JSON.
-Sizes come from small ranges (windows of a few hundred samples, at most
-200 rows, at most 3 trials) so that one example takes milliseconds; the
-caps themselves are tested in test_cli.py.  Hostile values (NaN, infinity,
-negative, 2**70, strings, null, lists, binary bytes) are drawn beside
-valid ones.  The property: the exit code is 0, 2, 3 or 4; a non-zero exit
-writes exactly one `{"error": {...}}` JSON line on stderr and no warning;
-the traced allocation peak stays under 64 MiB.
+`cli.main` runs in-process on drawn argv, series-file bytes and config JSON,
+one test per subcommand, each with its own example budget.  Sizes come
+from small ranges (windows of a few hundred samples, at most 225 rows, at
+most 3 trials) so that one example takes milliseconds; the caps themselves
+are tested in test_cli.py.  Hostile values (NaN, infinity, negative,
+2**70, strings, null, lists, binary bytes) are drawn beside valid ones,
+but most inputs are valid, so that most `recover` and `forecast` examples
+reach the solver.  The property: the exit code is 0, 2, 3 or 4; a
+non-zero exit writes exactly one `{"error": {...}}` JSON line on stderr
+and no warning; the traced allocation peak stays under 64 MiB.
 """
 
 import contextlib
@@ -28,11 +30,12 @@ HUGE = 2**70
 
 HOSTILE = st.sampled_from(["nan", "inf", "-inf", "-1", str(HUGE), "1.5", "abc", "", "0x10"])
 JSON_HOSTILE = st.sampled_from([math.nan, math.inf, -1, HUGE, "abc", None, [1, 2], {"a": 1}])
-CORRUPTIONS = st.sampled_from([0, 0, 1, 2])  # how many fields of a valid input turn hostile
+CORRUPTIONS = st.sampled_from([0] * 8 + [1, 2])  # how many fields of a valid input turn hostile
 
 SPANS = st.tuples(st.integers(-60, 60), st.integers(0, 12)).map(lambda p: f"{p[0]}..{p[0] + p[1]}")
-SPECS_1D = st.lists(st.one_of(SPANS, st.integers(-60, 60).map(str)), min_size=1, max_size=3).map(", ".join)
-SPECS_2D = st.tuples(st.integers(-12, 12), st.integers(0, 3), st.integers(-12, 12), st.integers(0, 3)).map(
+SPECS_1D = st.lists(st.one_of(SPANS, st.integers(-60, 60).map(str)), min_size=1, max_size=3, unique=True).map(
+    ", ".join)
+SPECS_2D = st.tuples(st.integers(-6, 3), st.integers(0, 3), st.integers(-6, 3), st.integers(0, 3)).map(
     lambda p: f"{p[0]}..{p[0] + p[1]} x {p[2]}..{p[2] + p[3]}")
 BAD_SPECS = st.sampled_from(["x", "1..", "3..1", f"0..{HUGE}", "0, 400000000", "1..5 x", "(1,2)", "-5..-10"])
 GAP_SIZES = st.tuples(st.integers(1, 30), st.integers(0, 10)).map(lambda p: f"{p[0]}..{p[0] + p[1]}")
@@ -43,51 +46,67 @@ RHOS = st.sampled_from(["0", "1e-4", "0.1"])
 
 SAMPLES = st.one_of(st.floats(-10, 10).map(repr), st.sampled_from(["nan", "inf", "1e400", "", "abc", "0x1p3"]))
 HEADERS = st.sampled_from(["t,value"] * 15 + ["\ufefft,value", "T, Value", "time,value", "t1,t2,value", "t,value,extra"])
+GRID = range(-7, 8)  # each axis of a 2D series file; covers every index a 2D spec can name
+
+
+def one_in(draw, k: int) -> bool:
+    """True once in `k` draws.  Hypothesis favours the first of a strategy's values (the one it
+    shrinks to), so that one is False; `st.one_of` would merge equal branches."""
+    return draw(st.sampled_from([False] * (k - 1) + [True]))
 
 
 @st.composite
-def series_bytes(draw, lo=None, hi=None):
-    """A series file: mostly rows on one 1D range, sometimes 2D rows or bytes that are no CSV at all."""
-    kind = draw(st.sampled_from(["range", "range", "range", "scatter", "2d", "binary"]))
+def series_bytes(draw, lo=None, hi=None, ndim=1):
+    """A series file: seven in eight are clean rows on one range (on GRID x GRID in 2D); the
+    eighth may scatter its indices, take the other dimensionality, be bytes that are no CSV at
+    all, or carry an odd header and faulty rows."""
+    hostile = one_in(draw, 8)
+    kind = draw(st.sampled_from(["range", "range", "scatter", "other", "binary"])) if hostile else "range"
     if kind == "binary":
         return draw(st.binary(max_size=200))
-    if kind == "2d":
+    if kind == "other":
+        ndim = 3 - ndim
+    if ndim == 2:
         header = "t1,t2,value"
-        rows = [f"{a},{b},{v}" for a, b, v in draw(st.lists(
-            st.tuples(st.integers(-8, 8), st.integers(-8, 8), SAMPLES), min_size=1, max_size=200))]
+        if kind == "range":
+            keys = [f"{a},{b}" for a in GRID for b in GRID]
+        else:
+            keys = [f"{a},{b}" for a, b in draw(st.lists(
+                st.tuples(st.integers(-8, 8), st.integers(-8, 8)), min_size=1, max_size=200))]
     else:
-        header = draw(HEADERS)
+        header = draw(HEADERS) if hostile else "t,value"
         if kind == "scatter":
             index = draw(st.lists(st.integers(-100, 100), min_size=1, max_size=200))
         else:
             lo = draw(st.integers(-150, 50 if hi is None else hi)) if lo is None else lo
             hi = draw(st.integers(lo, lo + 150)) if hi is None else hi
-            index = list(range(lo, hi + 1))
-        rows = [f"{t},{draw(st.floats(-10, 10))!r}" for t in index]
-        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
-            k = draw(st.integers(0, len(rows) - 1))
-            fault = draw(st.sampled_from(["drop", "repeat", "fraction", "sample", "comment", "blank"]))
-            if fault == "drop":
-                del rows[k]
-            elif fault == "repeat":
-                rows.insert(k, rows[k])
-            elif fault == "fraction":
-                rows[k] = f"{index[min(k, len(index) - 1)]}.5,1.0"
-            elif fault == "sample":
-                rows[k] = f"{rows[k].split(',')[0]},{draw(SAMPLES)}"
-            elif fault == "comment":
-                rows.insert(k, "# comment")
-            else:
-                rows.insert(k, "")
-            if not rows:
-                break
+            index = range(lo, hi + 1)
+        keys = [str(t) for t in index]
+    rows = [f"{key},{draw(st.floats(-10, 10))!r}" for key in keys]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if hostile else 0):
+        k = draw(st.integers(0, len(rows) - 1))
+        fault = draw(st.sampled_from(["drop", "repeat", "fraction", "sample", "comment", "blank"]))
+        if fault == "drop":
+            del rows[k]
+        elif fault == "repeat":
+            rows.insert(k, rows[k])
+        elif fault == "fraction":
+            rows[k] = f"{keys[min(k, len(keys) - 1)]}.5,1.0"
+        elif fault == "sample":
+            rows[k] = f"{rows[k].rsplit(',', 1)[0]},{draw(SAMPLES)}"
+        elif fault == "comment":
+            rows.insert(k, "# comment")
+        else:
+            rows.insert(k, "")
+        if not rows:
+            break
     return ("\n".join([header, *rows]) + "\n").encode("utf-8")
 
 
 def flags(draw, valid: dict, hostile: dict, required=()) -> list[str]:
-    """`--name=value` tokens: each optional flag is present half the time, a required one seven
-    times in eight; a few of them take a hostile value."""
-    present = [name for name in valid if draw(st.integers(0, 7)) < (7 if name in required else 4)]
+    """`--name=value` tokens: each optional flag is present half the time, a required one fifteen
+    times in sixteen; a few of them take a hostile value."""
+    present = [name for name in valid if (not one_in(draw, 16) if name in required else one_in(draw, 2))]
     bad = set(draw(st.permutations(present))[:draw(CORRUPTIONS)])
     return [f"{name}={draw(st.one_of(HOSTILE, hostile.get(name, HOSTILE)) if name in bad else valid[name])}"
             for name in present]
@@ -99,15 +118,16 @@ COMMON_HOSTILE = {"--format": st.just("xml")}
 
 @st.composite
 def recover_inputs(draw):
-    valid = {"--missing": st.one_of(SPECS_1D, SPECS_1D, SPECS_1D, SPECS_2D), "--omega": FRACTIONS, "--rho": RHOS,
-             **COMMON}
+    ndim = draw(st.sampled_from([1, 1, 1, 2]))
+    valid = {"--missing": SPECS_1D if ndim == 1 else SPECS_2D, "--omega": FRACTIONS, "--rho": RHOS, **COMMON}
     hostile = {"--missing": BAD_SPECS, "--omega": BAD_FRACTIONS, "--rho": st.just("1e300"), **COMMON_HOSTILE}
-    if draw(st.integers(0, 3)) == 0:
+    if ndim == 2 or one_in(draw, 8):  # a 1D recover refuses --omega2
         valid["--omega2"] = FRACTIONS
-    argv = ["recover", "--input", "{series}", *flags(draw, valid, hostile, ("--missing", "--omega"))]
-    # three files in four cover every index a 1D spec can name
-    covering = series_bytes(lo=draw(st.integers(-100, -72)), hi=draw(st.integers(72, 97)))
-    return argv, {"series": draw(st.one_of(covering, covering, covering, series_bytes()))}
+    argv = ["recover", "--input", "{series}",
+            *flags(draw, valid, hostile, ("--missing", "--omega", "--omega2"))]
+    # seven files in eight cover every index a 1D spec can name; GRID covers every 2D spec
+    covering = series_bytes(lo=draw(st.integers(-100, -72)), hi=draw(st.integers(72, 97)), ndim=ndim)
+    return argv, {"series": draw(series_bytes(ndim=ndim) if one_in(draw, 8) else covering)}
 
 
 @st.composite
@@ -120,12 +140,13 @@ def forecast_inputs(draw):
                "--rho": st.just("1e300"), **COMMON_HOSTILE}
     if draw(st.booleans()):
         del valid["--n"]  # the dummy file sets n
-        start = gap + 1 if draw(st.integers(0, 3)) else draw(st.integers(-5, 40))
+        start = draw(st.integers(-5, 40)) if one_in(draw, 8) else gap + 1
         files = {"dummy": draw(series_bytes(lo=start, hi=draw(st.integers(start, start + 150))))}
         argv = ["forecast", "--input", "{series}", "--dummy", "{dummy}"]
     else:
         files, argv = {}, ["forecast", "--input", "{series}"]
-    files["series"] = draw(series_bytes(hi=0) if draw(st.integers(0, 3)) else series_bytes())
+    past = series_bytes(lo=draw(st.integers(-150, -1)), hi=0)
+    files["series"] = draw(series_bytes() if one_in(draw, 8) else past)
     return argv + flags(draw, valid, hostile, ("--gap",)), files
 
 
@@ -134,7 +155,7 @@ def diagnose_inputs(draw):
     valid = {"--missing": st.one_of(SPECS_1D, SPECS_2D), "--omega": FRACTIONS, "--gap-sizes": GAP_SIZES,
              **COMMON}
     hostile = {"--missing": BAD_SPECS, "--omega": BAD_FRACTIONS, "--gap-sizes": BAD_GAP_SIZES, **COMMON_HOSTILE}
-    if draw(st.integers(0, 3)) == 0:
+    if one_in(draw, 4):
         valid["--omega2"] = FRACTIONS
     return ["diagnose", *flags(draw, valid, hostile, ("--omega", "--missing"))], {}
 
@@ -156,7 +177,7 @@ def config_doc(draw):
     names = draw(st.permutations(sorted(doc)))
     for name in names[:draw(CORRUPTIONS)]:
         doc[name] = draw(JSON_HOSTILE)
-    if draw(st.integers(0, 7)) == 0:
+    if one_in(draw, 8):
         del doc[names[-1]]
     return doc
 
@@ -200,15 +221,37 @@ def run_cli(argv, files, directory):
     return code, stderr.getvalue().splitlines(), caught, peak
 
 
-@settings(max_examples=80, deadline=None)
-@given(inputs=st.one_of(recover_inputs(), forecast_inputs(), diagnose_inputs(), simulate_inputs()))
-@example(inputs=(["simulate", "--config", "{config}"], {"config": json.dumps(
-    {"sweep": "noise", "values": [0.1], "seeds": [-1], "omega": 0.25, "synth_band": 0.2}).encode()}))
-def test_every_input_ends_in_a_documented_exit(inputs, workdir):
-    code, lines, caught, peak = run_cli(*inputs, workdir)
+def check_exit(inputs, directory):
+    code, lines, caught, peak = run_cli(*inputs, directory)
     assert code in (0, 2, 3, 4)
     if code:
         assert len(lines) == 1 and not caught, (lines, [str(w.message) for w in caught])
         doc = json.loads(lines[0])
         assert list(doc) == ["error"] and set(doc["error"]) == {"category", "message"}
     assert peak < PEAK_BOUND
+
+
+@settings(max_examples=16, deadline=None)
+@given(inputs=recover_inputs())
+def test_recover_input_ends_in_a_documented_exit(inputs, workdir):
+    check_exit(inputs, workdir)
+
+
+@settings(max_examples=16, deadline=None)
+@given(inputs=forecast_inputs())
+def test_forecast_input_ends_in_a_documented_exit(inputs, workdir):
+    check_exit(inputs, workdir)
+
+
+@settings(max_examples=12, deadline=None)
+@given(inputs=diagnose_inputs())
+def test_diagnose_input_ends_in_a_documented_exit(inputs, workdir):
+    check_exit(inputs, workdir)
+
+
+@settings(max_examples=16, deadline=None)
+@given(inputs=simulate_inputs())
+@example(inputs=(["simulate", "--config", "{config}"], {"config": json.dumps(
+    {"sweep": "noise", "values": [0.1], "seeds": [-1], "omega": 0.25, "synth_band": 0.2}).encode()}))
+def test_simulate_input_ends_in_a_documented_exit(inputs, workdir):
+    check_exit(inputs, workdir)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bandgap import (
     BandLimit,
     GapOperator,
+    GeometryError,
     IndexWindow,
     NonConvergenceError,
     ParameterError,
@@ -24,14 +25,11 @@ from bandgap import (
     make_mask,
     solve_direct,
     solve_neumann,
-    with_rhs,
 )
 
 
-def operator_with_rhs(missing, frac, rhs, window=(-30, 30)):
-    mask = make_mask(IndexWindow(*window), missing)
-    op = assemble_operator(mask, BandLimit.from_pi_fraction(frac))
-    return with_rhs(op, np.asarray(rhs, dtype=float))
+def gap_operator(missing, frac, window=(-30, 30)):
+    return assemble_operator(make_mask(IndexWindow(*window), missing), BandLimit.from_pi_fraction(frac))
 
 
 def inv3_adjugate(k: np.ndarray) -> np.ndarray:
@@ -53,21 +51,21 @@ class TestDirect:
     def test_singleton_closed_form(self):
         # 1x1 algebra: y = a / (1 - omega/pi) = pi*a/(pi - omega)
         a = 0.37
-        report = solve_direct(operator_with_rhs([4], 0.25, [a]), rho=0.0)
+        report = solve_direct(gap_operator([4], 0.25), 0.0, [a])
         assert report.y[0] == pytest.approx(math.pi * a / (math.pi - 0.25 * math.pi), rel=1e-14)
         assert report.iterations == 0
 
     @pytest.mark.parametrize("rho", [0.0, 0.1, 2.0])
     def test_zero_rhs(self, rho):
-        report = solve_direct(operator_with_rhs([0, 1, 2], 0.4, np.zeros(3)), rho=rho)
+        report = solve_direct(gap_operator([0, 1, 2], 0.4), rho, np.zeros(3))
         assert not np.any(report.y)
         assert report.residual == 0.0
 
     def test_three_gap_against_adjugate_inverse(self):
         rng = np.random.default_rng(21)
         a = rng.standard_normal(3)
-        op = operator_with_rhs([0, 1, 2], 0.5, a)
-        report = solve_direct(op, rho=0.0)
+        op = gap_operator([0, 1, 2], 0.5)
+        report = solve_direct(op, 0.0, a)
         expected = inv3_adjugate(np.eye(3) - op.matrix) @ a
         assert np.max(np.abs(report.y - expected)) <= 1e-13
 
@@ -75,83 +73,78 @@ class TestDirect:
         rng = np.random.default_rng(3)
         for _ in range(10):
             a = rng.standard_normal(12)
-            op = operator_with_rhs(list(range(1, 13)), 0.25, a)
-            report = solve_direct(op, rho=0.0)
+            report = solve_direct(gap_operator(list(range(1, 13)), 0.25), 0.0, a)
             assert report.residual <= 1e-8 * max(1.0, float(np.linalg.norm(a)))
 
     def test_norm_estimate(self):
         rng = np.random.default_rng(8)
         for rho in [0.0, 0.05, 1.0]:
             a = rng.standard_normal(8)
-            op = operator_with_rhs(list(range(0, 8)), 0.6, a)
-            report = solve_direct(op, rho=rho)
+            report = solve_direct(gap_operator(list(range(0, 8)), 0.6), rho, a)
             assert np.linalg.norm(report.y) <= report.norm_bound * np.linalg.norm(a) * (1 + 1e-12)
 
     def test_linearity(self):
         rng = np.random.default_rng(17)
         a1, a2 = rng.standard_normal(5), rng.standard_normal(5)
-        mask_ids = [0, 1, 2, 3, 4]
-        y1 = solve_direct(operator_with_rhs(mask_ids, 0.3, a1), 0.0).y
-        y2 = solve_direct(operator_with_rhs(mask_ids, 0.3, a2), 0.0).y
-        y12 = solve_direct(operator_with_rhs(mask_ids, 0.3, a1 + a2), 0.0).y
-        yc = solve_direct(operator_with_rhs(mask_ids, 0.3, 3.0 * a1), 0.0).y
+        op = gap_operator([0, 1, 2, 3, 4], 0.3)
+        y1 = solve_direct(op, 0.0, a1).y
+        y2 = solve_direct(op, 0.0, a2).y
+        y12 = solve_direct(op, 0.0, a1 + a2).y
+        yc = solve_direct(op, 0.0, 3.0 * a1).y
         assert np.max(np.abs(y12 - (y1 + y2))) <= 1e-10
         assert np.max(np.abs(yc - 3.0 * y1)) <= 1e-10
 
     def test_monotone_damping_in_rho(self):
         rng = np.random.default_rng(77)
         a = rng.standard_normal(10)
-        op = operator_with_rhs(list(range(1, 11)), 0.25, a)
-        norms = [np.linalg.norm(solve_direct(op, rho).y) for rho in [0.0, 0.01, 0.1, 1.0, 10.0]]
+        op = gap_operator(list(range(1, 11)), 0.25)
+        norms = [np.linalg.norm(solve_direct(op, rho, a).y) for rho in [0.0, 0.01, 0.1, 1.0, 10.0]]
         assert all(x >= y - 1e-12 for x, y in zip(norms, norms[1:]))
 
     def test_conditioning_warning(self):
         # a contiguous gap of 20 at half band: 0 < 1 - ||A|| < 1e-8
-        op = operator_with_rhs(list(range(1, 21)), 0.5, np.ones(20))
-        report = solve_direct(op, rho=0.0)
+        report = solve_direct(gap_operator(list(range(1, 21)), 0.5), 0.0, np.ones(20))
         assert any("ill-conditioned" in w for w in report.warnings)
         assert np.isfinite(report.y).all()
 
     def test_nonfinite_rejected(self):
-        op = operator_with_rhs([0], 0.25, [np.nan])
         with pytest.raises(SolverError):
-            solve_direct(op, rho=0.0)
+            solve_direct(gap_operator([0], 0.25), 0.0, [np.nan])
+
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_rhs_of_another_length_is_geometry_error(self, length):
+        op = gap_operator([0, 1, 2], 0.25)
+        for solve in (solve_direct, solve_neumann):
+            with pytest.raises(GeometryError, match=rf"\({length},\) does not match operator size 3"):
+                solve(op, 0.0, np.ones(length))
 
     def test_nonfinite_matrix_rejected(self):
         matrix = 0.1 * np.eye(3)
         matrix[0, 2] = np.nan
-        op = GapOperator(matrix=matrix, rhs=np.ones(3))
+        op = GapOperator(matrix=matrix)
         for solve in (solve_direct, solve_neumann):
             with pytest.raises(SolverError, match="non-finite"):
-                solve(op, rho=0.0)
+                solve(op, 0.0, np.ones(3))
 
     def test_nonfinite_residual_rejected(self):
         # finite system and solution, but the residual's norm overflows: no certificate
-        op = operator_with_rhs([0, 1, 2], 0.25, [1e200, -1e200, 1e200])
         with pytest.raises(SolverError, match="residual is not finite"):
-            solve_direct(op, rho=0.0)
-
-    def test_missing_rhs_rejected(self):
-        mask = make_mask(IndexWindow(-5, 5), [0])
-        op = assemble_operator(mask, BandLimit.from_pi_fraction(0.25))
-        with pytest.raises(SolverError):
-            solve_direct(op, rho=0.0)
+            solve_direct(gap_operator([0, 1, 2], 0.25), 0.0, [1e200, -1e200, 1e200])
 
     def test_negative_rho_rejected(self):
         with pytest.raises(ParameterError):
-            solve_direct(operator_with_rhs([0], 0.25, [1.0]), rho=-0.5)
+            solve_direct(gap_operator([0], 0.25), -0.5, [1.0])
 
 
 class TestNeumann:
     def test_zero_rhs_converges_immediately(self):
-        report = solve_neumann(operator_with_rhs([0, 1], 0.25, np.zeros(2)), rho=0.0)
+        report = solve_neumann(gap_operator([0, 1], 0.25), 0.0, np.zeros(2))
         assert report.iterations == 0
         assert not np.any(report.y)
 
     def test_scalar_geometric_series(self):
         a = 1.3
-        report = solve_neumann(operator_with_rhs([2], 0.25, [a]), rho=0.0,
-                               config=SolverConfig(tol=1e-14))
+        report = solve_neumann(gap_operator([2], 0.25), 0.0, [a], config=SolverConfig(tol=1e-14))
         assert report.y[0] == pytest.approx(math.pi * a / (math.pi - 0.25 * math.pi), rel=1e-12)
         assert report.iterations > 0
 
@@ -159,19 +152,19 @@ class TestNeumann:
     def test_matches_direct_on_default_geometry(self, rho):
         rng = np.random.default_rng(5)
         a = rng.standard_normal(12)
-        op = operator_with_rhs(list(range(1, 13)), 0.25, a, window=(-60, 60))
+        op = gap_operator(list(range(1, 13)), 0.25, window=(-60, 60))
         config = SolverConfig(tol=1e-12, max_iter=200_000)
-        direct = solve_direct(op, rho)
-        iterative = solve_neumann(op, rho, config)
+        direct = solve_direct(op, rho, a)
+        iterative = solve_neumann(op, rho, a, config)
         assert np.max(np.abs(direct.y - iterative.y)) <= 1e-10
         assert iterative.iterations < config.max_iter
 
     def test_non_convergence_carries_iterate(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal(12)
-        op = operator_with_rhs(list(range(1, 13)), 0.25, a)
+        op = gap_operator(list(range(1, 13)), 0.25)
         with pytest.raises(NonConvergenceError) as err:
-            solve_neumann(op, rho=0.0, config=SolverConfig(tol=1e-12, max_iter=5))
+            solve_neumann(op, 0.0, a, config=SolverConfig(tol=1e-12, max_iter=5))
         assert err.value.iterations == 5
         assert err.value.iterate.shape == (12,)
         assert err.value.residual > 0
@@ -183,19 +176,19 @@ class TestNeumann:
        seed=st.integers(0, 2**32 - 1))
 def test_neumann_equals_direct_on_random_masks(missing, frac, rho, seed):
     a = np.random.default_rng(seed).standard_normal(len(missing))
-    op = operator_with_rhs(sorted(missing), frac, a, window=(-40, 40))
+    op = gap_operator(sorted(missing), frac, window=(-40, 40))
     assume(1.0 + rho - diagnostics(op).spectral_norm >= 0.05)
-    iterative = solve_neumann(op, rho, SolverConfig(tol=1e-12))
-    assert np.max(np.abs(iterative.y - solve_direct(op, rho).y)) <= 1e-10
+    iterative = solve_neumann(op, rho, a, SolverConfig(tol=1e-12))
+    assert np.max(np.abs(iterative.y - solve_direct(op, rho, a).y)) <= 1e-10
 
 
 class TestErrorBound:
     def test_zero_perturbation(self):
-        op = operator_with_rhs([0], 0.25, [1.0])
+        op = gap_operator([0], 0.25)
         assert error_bound(op, rho=0.0, eta_norm=0.0) == 0.0
 
     def test_singleton_value(self):
-        op = operator_with_rhs([0], 0.25, [1.0])
+        op = gap_operator([0], 0.25)
         assert error_bound(op, rho=0.0, eta_norm=1.0) == pytest.approx(4.0 / 3.0, rel=1e-14)
 
     def test_monte_carlo_soundness(self):
@@ -211,13 +204,13 @@ class TestErrorBound:
                 for t in mask.missing:
                     eta[w.offset_of(t)] = 0.0
                 x_noisy = Series(window=w, values=x.values + eta)
-                y = solve_direct(with_rhs(op, assemble_rhs(x, mask, bl)), rho).y
-                y_eta = solve_direct(with_rhs(op, assemble_rhs(x_noisy, mask, bl)), rho).y
+                y = solve_direct(op, rho, assemble_rhs(x, mask, bl)).y
+                y_eta = solve_direct(op, rho, assemble_rhs(x_noisy, mask, bl)).y
                 bound = error_bound(op, rho, float(np.linalg.norm(eta)))
                 assert np.linalg.norm(y - y_eta) < bound
 
     def test_bad_inputs(self):
-        op = operator_with_rhs([0], 0.25, [1.0])
+        op = gap_operator([0], 0.25)
         with pytest.raises(ParameterError):
             error_bound(op, rho=0.0, eta_norm=-1.0)
         with pytest.raises(ParameterError):
@@ -226,11 +219,11 @@ class TestErrorBound:
     def test_unavailable_when_norm_reaches_one(self):
         # assembled operators always have ||A|| < 1; a hand-built unit-norm
         # matrix exercises the guard
-        op = GapOperator(matrix=np.eye(2), rhs=np.ones(2))
+        op = GapOperator(matrix=np.eye(2))
         with pytest.raises(SolverError):
             error_bound(op, rho=0.0, eta_norm=1.0)
         with pytest.raises(SolverError):
-            solve_neumann(op, rho=0.0)
+            solve_neumann(op, 0.0, np.ones(2))
         assert error_bound(op, rho=0.5, eta_norm=1.0) == pytest.approx(2.0)
 
 
