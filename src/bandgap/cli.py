@@ -114,7 +114,6 @@ def cmd_recover(args) -> int:
     doc["diagnostics"] = {
         "spectral_norm": diag.spectral_norm,
         "min_eig_I_minus_A": diag.min_eig_I_minus_A,
-        "symmetry_defect": diag.symmetry_defect,
         "size": diag.size,
         "residual": report.residual,
         "iterations": report.iterations,
@@ -229,7 +228,6 @@ def cmd_diagnose(args) -> int:
     doc["diagnostics"] = {
         "spectral_norm": diag.spectral_norm,
         "min_eig_I_minus_A": diag.min_eig_I_minus_A,
-        "symmetry_defect": diag.symmetry_defect,
         "size": diag.size,
         "spectrum": spectrum,
     }
@@ -257,11 +255,7 @@ def _load_run_config(path: str) -> dict:
 
 def cmd_simulate(args) -> int:
     doc = _load_run_config(args.config)
-    try:
-        config = ExperimentConfig.from_json_dict(doc)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParameterError(f"bad experiment config: {exc}") from exc
-    report = run_experiment(config)
+    report = run_experiment(ExperimentConfig.from_json_dict(doc))
     report["version"] = __version__
     report["config_file"] = doc
     _emit(report, args, report["rows"], ROW_FIELDS)

@@ -239,6 +239,21 @@ def _integer(value, field: str) -> int:
         raise ParameterError(f"{field}: {value!r} is not a whole number") from exc
 
 
+def _real(value, field: str) -> float:
+    """`value` as a float; one that does not convert is refused with the field's name."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"{field}: {value!r} is not a number") from exc
+
+
+def _items(value, field: str) -> list:
+    """`value` if it is a JSON array (a list); any other value is refused with the field's name."""
+    if not isinstance(value, list):
+        raise ParameterError(f"{field}: {value!r} is not a list")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
     """One sweep over a single parameter, repeated over seeded trials.
@@ -270,12 +285,7 @@ class ExperimentConfig:
             raise ParameterError(f"unknown sweep {self.sweep!r}; expected one of {SWEEPS}")
         integral = self.sweep in ("window", "gap")
         field = f"{self.sweep} sweep values"
-        try:
-            self.values = tuple(_integer(v, field) if integral else float(v) for v in self.values)
-        except ParameterError:
-            raise
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParameterError(f"{field} must be numbers: {exc}") from exc
+        self.values = tuple(_integer(v, field) if integral else _real(v, field) for v in self.values)
         if len(self.values) == 0:
             raise ParameterError("sweep values must be nonempty")
         if list(self.values) != sorted(set(self.values)):
@@ -298,25 +308,27 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
-        """Build from the CLI JSON form (omega/synth_band as fractions of pi)."""
+        """Build from the CLI JSON form (omega/synth_band as fractions of pi); a malformed field is named."""
+        if not isinstance(doc, dict):
+            raise ParameterError("experiment config must be a JSON object")
         try:
-            sweep = doc["sweep"]
-            values = tuple(doc["values"])
+            sweep, values = doc["sweep"], _items(doc["values"], "values")
             if "seeds" in doc:
-                seeds = tuple(doc["seeds"])
+                seeds = _items(doc["seeds"], "seeds")
             else:
                 base = _integer(doc.get("seed", 0), "seed")
                 seeds = range(base, base + _integer(doc.get("trials", 1), "trials"))
+            rho = doc.get("rho", 0.0)
             return cls(
                 sweep=sweep,
                 values=values,
                 seeds=seeds,
-                omega=float(doc["omega"]) * np.pi,
-                synth_band=float(doc["synth_band"]) * np.pi,
+                omega=_real(doc["omega"], "omega") * np.pi,
+                synth_band=_real(doc["synth_band"], "synth_band") * np.pi,
                 missing=str(doc.get("missing", "1..5")),
                 window=doc.get("window", 250),
-                rho=None if doc.get("rho", 0.0) is None else float(doc.get("rho", 0.0)),
-                sigma=float(doc.get("sigma", 0.0)),
+                rho=None if rho is None else _real(rho, "rho"),
+                sigma=_real(doc.get("sigma", 0.0), "sigma"),
             )
         except KeyError as exc:
             raise ParameterError(f"experiment config is missing field {exc}") from exc

@@ -17,12 +17,13 @@ offsets read is cheaper.
 
 A depends on the missing set and the band alone and a(x) on each series,
 so a `GapOperator` holds A only, and the solvers take a(x) as an argument.
-A is read-only once assembled, so what depends on it alone is computed
-once per matrix and reused by every caller: per rho, a blocked Cholesky
-factor of S = (1+rho)I - A and the margin 1 + rho - ||A|| = lambda_min(S),
-read from that factor by a short Lanczos run on S^-1 (Parlett, *The
-Symmetric Eigenvalue Problem*).  The full spectrum, one `eigvalsh`, is
-computed only where it is the output (`eigenvalues`).
+A is square, finite, exactly symmetric and read-only, and any other
+matrix is a SolverError when the operator is made.  What depends on A
+alone is computed once per matrix and reused by every caller: per rho, a
+blocked Cholesky factor of S = (1+rho)I - A and the margin 1 + rho - ||A||
+= lambda_min(S), read from that factor by a short Lanczos run on S^-1
+(Parlett, *The Symmetric Eigenvalue Problem*).  The full spectrum, one
+`eigvalsh`, is computed only where it is the output (`eigenvalues`).
 """
 
 from __future__ import annotations
@@ -58,15 +59,32 @@ LANCZOS_TOL = 1e-13
 class GapOperator:
     """Gap matrix over M x M, in the mask's canonical order; a(x) is an argument of the solvers.
 
-    The matrix is made read-only at construction.  Values computed from it
-    alone are memoised by :meth:`derived`.
+    The matrix is checked and made read-only at construction.  Values
+    computed from it alone are memoised by :meth:`derived`.
     """
 
     matrix: np.ndarray
     _derived: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self.matrix.flags.writeable = False
+        """Refuse a matrix that is not square, holds a NaN or an infinity, or is not symmetric.
+
+        One pass compares 128 x 128 tiles (i, j) and (j, i)^T, j >= i, as
+        reading the whole transpose strides through memory.  A[p, q] - A[q, p]
+        is 0 only where both entries are finite and equal, so one test per
+        tile finds either fault; the non-finite one is named if both occur.
+        """
+        a, tile = self.matrix, 128
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise SolverError(f"gap matrix is not square: shape {a.shape}")
+        with np.errstate(all="ignore"):  # inf - inf is a NaN, and so a fault, by design
+            for i in range(0, a.shape[0], tile):
+                for j in range(i, a.shape[0], tile):
+                    if np.any(a[i:i + tile, j:j + tile] - a[j:j + tile, i:i + tile].T):
+                        if not np.all(np.isfinite(a)):
+                            raise SolverError("non-finite entries in the gap matrix")
+                        raise SolverError("gap matrix is not symmetric")
+        a.flags.writeable = False
 
     @property
     def size(self) -> int:
@@ -116,7 +134,6 @@ class OperatorDiagnostics:
     margin: float
     spectral_norm: float
     min_eig_I_minus_A: float
-    symmetry_defect: float
     size: int
 
 
@@ -207,21 +224,18 @@ def eigenvalues(op: GapOperator) -> np.ndarray:
 
 
 def diagnostics(op: GapOperator, rho: float = 0.0) -> OperatorDiagnostics:
-    """The margin 1 + rho - ||A||, ||A||, the smallest eigenvalue of I - A, and the symmetry defect.
+    """The margin 1 + rho - ||A||, ||A|| and the smallest eigenvalue of I - A.
 
     The one gate between an operator and what uses its margin: a rho that
-    is not a finite nonnegative number is a ParameterError, and a matrix
-    with a non-finite entry a SolverError (checked once per matrix).  The
-    margin is lambda_min((1+rho)I - A), computed once per matrix and rho
-    from the operator's Cholesky factor at that rho; then ||A|| = 1 + rho -
-    margin.  A factorization that fails, or a margin of at most |M| eps
-    (1+rho), is below working precision and counts as a margin of 0, so
+    is not a finite nonnegative number is a ParameterError.  The margin is
+    lambda_min((1+rho)I - A), computed once per matrix and rho from the
+    operator's Cholesky factor at that rho; then ||A|| = 1 + rho - margin.
+    A factorization that fails, or a margin of at most |M| eps (1+rho), is
+    below working precision and counts as a margin of 0, so
     `min_eig_I_minus_A` = max(0, 1 - ||A||) is never negative.
     """
     if not (math.isfinite(rho) and rho >= 0):
         raise ParameterError(f"rho must be a finite nonnegative number, not {rho}")
-    if not op.derived("finite", lambda: bool(np.all(np.isfinite(op.matrix)))):
-        raise SolverError("non-finite entries in the gap matrix")
     return op.derived(("diagnostics", rho), lambda: _diagnostics(op, rho))
 
 
@@ -285,20 +299,6 @@ def _lanczos_margin(factor: CholeskyFactor, m: int) -> float:
         tri[k, k + 1] = tri[k + 1, k] = beta
 
 
-def _symmetry_defect(matrix: np.ndarray) -> float:
-    """max |A - A^T|, one pair of 128 x 128 tiles at a time over the upper triangle.
-
-    Reading the whole transpose strides through memory; at |M| = 1,024 the
-    tiles take about a quarter of the time.
-    """
-    m, tile = matrix.shape[0], 128
-    return float(np.max([
-        np.max(np.abs(matrix[i:i + tile, j:j + tile] - matrix[j:j + tile, i:i + tile].T))
-        for i in range(0, m, tile)
-        for j in range(i, m, tile)
-    ]))
-
-
 def _diagnostics(op: GapOperator, rho: float) -> OperatorDiagnostics:
     factor = cholesky(op, rho)
     margin = 0.0 if factor is None else _lanczos_margin(factor, op.size)
@@ -309,6 +309,5 @@ def _diagnostics(op: GapOperator, rho: float) -> OperatorDiagnostics:
         margin=margin,
         spectral_norm=spectral_norm,
         min_eig_I_minus_A=max(0.0, 1.0 - spectral_norm),
-        symmetry_defect=op.derived("symmetry_defect", lambda: _symmetry_defect(op.matrix)),
         size=op.size,
     )

@@ -24,6 +24,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bandgap.cli import main
+from bandgap.errors import ParameterError
+from bandgap.lab import ExperimentConfig
 
 PEAK_BOUND = 64 * 2**20
 HUGE = 2**70
@@ -222,13 +224,16 @@ def run_cli(argv, files, directory):
 
 
 def check_exit(inputs, directory):
+    """The exit code, and the error message of a non-zero exit."""
     code, lines, caught, peak = run_cli(*inputs, directory)
     assert code in (0, 2, 3, 4)
-    if code:
-        assert len(lines) == 1 and not caught, (lines, [str(w.message) for w in caught])
-        doc = json.loads(lines[0])
-        assert list(doc) == ["error"] and set(doc["error"]) == {"category", "message"}
     assert peak < PEAK_BOUND
+    if not code:
+        return code, None
+    assert len(lines) == 1 and not caught, (lines, [str(w.message) for w in caught])
+    doc = json.loads(lines[0])
+    assert list(doc) == ["error"] and set(doc["error"]) == {"category", "message"}
+    return code, doc["error"]["message"]
 
 
 @settings(max_examples=16, deadline=None)
@@ -249,9 +254,31 @@ def test_diagnose_input_ends_in_a_documented_exit(inputs, workdir):
     check_exit(inputs, workdir)
 
 
+def simulate_example(config):
+    return example(inputs=(["simulate", "--config", "{config}"], {"config": json.dumps(config).encode()}))
+
+
+NOISE_CONFIG = {"sweep": "noise", "values": [0.1], "seeds": [1], "omega": 0.25, "synth_band": 0.2}
+CONFIG_FIELDS = ("sweep", "values", "seed", "trials", "omega", "synth_band", "missing", "window", "rho", "sigma")
+
+
 @settings(max_examples=16, deadline=None)
 @given(inputs=simulate_inputs())
-@example(inputs=(["simulate", "--config", "{config}"], {"config": json.dumps(
-    {"sweep": "noise", "values": [0.1], "seeds": [-1], "omega": 0.25, "synth_band": 0.2}).encode()}))
+@simulate_example({**NOISE_CONFIG, "seeds": [-1]})
+@simulate_example([NOISE_CONFIG])
+@simulate_example({**NOISE_CONFIG, "synth_band": [1, 2]})
+@simulate_example({**NOISE_CONFIG, "values": 5})
+@simulate_example({**NOISE_CONFIG, "seeds": 5})
 def test_simulate_input_ends_in_a_documented_exit(inputs, workdir):
-    check_exit(inputs, workdir)
+    """Beyond the documented exit: a config refused as it is read names its field, or says it is no object."""
+    code, message = check_exit(inputs, workdir)
+    argv, files = inputs
+    try:
+        ExperimentConfig.from_json_dict(json.loads(files["config"].decode("utf-8")))
+    except json.JSONDecodeError:
+        return
+    except ParameterError as exc:
+        assert code == 2
+        assert "JSON object" in str(exc) or any(name in str(exc) for name in CONFIG_FIELDS), str(exc)
+        if set(argv[3:]) <= {"--format=json", "--format=csv"}:  # argparse has nothing to refuse first
+            assert message == str(exc)
