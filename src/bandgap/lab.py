@@ -247,6 +247,13 @@ def _real(value, field: str) -> float:
         raise ParameterError(f"{field}: {value!r} is not a number") from exc
 
 
+def _nonnegative(numbers, field: str) -> None:
+    """Refuse, naming `field`, the first of `numbers` that is not a finite nonnegative number."""
+    for x in numbers:
+        if not (math.isfinite(x) and x >= 0):
+            raise ParameterError(f"{field}: {x!r} is not a finite nonnegative number")
+
+
 def _items(value, field: str) -> list:
     """`value` if it is a JSON array (a list); any other value is refused with the field's name."""
     if not isinstance(value, list):
@@ -266,8 +273,8 @@ class ExperimentConfig:
         the range seed, seed+1, ..., which is never expanded in memory).
         Seeds, `window` and window or gap values are whole numbers: a
         fraction is refused, not truncated, and 30.0 is 30.
-        omega and synth_band are radians here; the JSON form uses
-        fractions of pi.
+        omega and synth_band are radians inside (0, pi) here; the JSON
+        form uses fractions of pi.
     """
 
     sweep: str
@@ -282,33 +289,51 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.sweep not in SWEEPS:
-            raise ParameterError(f"unknown sweep {self.sweep!r}; expected one of {SWEEPS}")
+            raise ParameterError(f"sweep: {self.sweep!r} is not one of {SWEEPS}")
         integral = self.sweep in ("window", "gap")
         field = f"{self.sweep} sweep values"
         self.values = tuple(_integer(v, field) if integral else _real(v, field) for v in self.values)
         if len(self.values) == 0:
-            raise ParameterError("sweep values must be nonempty")
+            raise ParameterError(f"{field}: the list is empty")
         if list(self.values) != sorted(set(self.values)):
-            raise ParameterError("sweep values must be strictly increasing")
-        if not isinstance(self.seeds, range):
-            self.seeds = tuple(_integer(s, "seeds") for s in self.seeds)
-        if len(self.seeds) < 1:
-            raise ParameterError("at least one trial seed is required")
-        self.window = _integer(self.window, "window")
-        # numpy refuses a negative seed; a range is checked at its ends, so it is never expanded
-        if min((self.seeds[0], self.seeds[-1]) if isinstance(self.seeds, range) else self.seeds) < 0:
-            raise ParameterError("trial seeds must be nonnegative")
-        numbers = [self.sigma, 0.0 if self.rho is None else self.rho]
-        if self.sweep in ("noise", "rho"):
-            numbers.extend(self.values)
-        if not all(math.isfinite(x) and x >= 0 for x in numbers):
-            raise ParameterError("sigma, rho and noise or rho sweep values must be finite nonnegative numbers")
+            raise ParameterError(f"{field}: {list(self.values)} is not strictly increasing")
         if self.sweep == "gap" and self.values[0] < 1:
-            raise ParameterError("gap sweep values must be at least 1")
+            raise ParameterError(f"{field}: gap sizes must be at least 1, not {self.values[0]}")
+        if self.sweep in ("noise", "rho"):
+            _nonnegative(self.values, field)
+        # a range (JSON `seed` and `trials`) is checked at its ends, so it is never expanded
+        if isinstance(self.seeds, range):
+            try:
+                trials = len(self.seeds)
+            except OverflowError:
+                raise ParameterError(f"trials: {self.seeds.stop - self.seeds.start} is too many") from None
+            if trials < 1:
+                raise ParameterError("trials: at least one trial is required")
+            name, lowest = "seed", min(self.seeds[0], self.seeds[-1])
+        else:
+            self.seeds = tuple(_integer(s, "seeds") for s in self.seeds)
+            if len(self.seeds) < 1:
+                raise ParameterError("seeds: at least one trial seed is required")
+            name, lowest = "seeds", min(self.seeds)
+        if lowest < 0:  # numpy refuses a negative seed
+            raise ParameterError(f"{name}: trial seeds must be nonnegative, not {lowest}")
+        self.window = _integer(self.window, "window")
+        _nonnegative((self.sigma,), "sigma")
+        if self.rho is not None:
+            _nonnegative((self.rho,), "rho")
+        for name in ("omega", "synth_band"):
+            try:
+                BandLimit(getattr(self, name))
+            except ParameterError as exc:
+                raise ParameterError(f"{name}: {exc}") from None
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
-        """Build from the CLI JSON form (omega/synth_band as fractions of pi); a malformed field is named."""
+        """Build from the CLI JSON form (omega/synth_band as fractions of pi).
+
+        A refused config's message begins with the field's name (`values`
+        read as "<sweep> sweep values"), or says it is not a JSON object.
+        """
         if not isinstance(doc, dict):
             raise ParameterError("experiment config must be a JSON object")
         try:
@@ -331,7 +356,7 @@ class ExperimentConfig:
                 sigma=_real(doc.get("sigma", 0.0), "sigma"),
             )
         except KeyError as exc:
-            raise ParameterError(f"experiment config is missing field {exc}") from exc
+            raise ParameterError(f"{exc.args[0]}: a required field is missing") from exc
 
     def seed_fields(self) -> dict:
         """The seeds as the JSON form gives them: `seed` and `trials` for a range, else the list."""

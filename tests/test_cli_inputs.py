@@ -259,7 +259,8 @@ def simulate_example(config):
 
 
 NOISE_CONFIG = {"sweep": "noise", "values": [0.1], "seeds": [1], "omega": 0.25, "synth_band": 0.2}
-CONFIG_FIELDS = ("sweep", "values", "seed", "trials", "omega", "synth_band", "missing", "window", "rho", "sigma")
+CONFIG_FIELDS = ("sweep", "values", "seed", "seeds", "trials", "omega", "synth_band", "missing", "window", "rho",
+                 "sigma", *(f"{sweep} sweep values" for sweep in ("window", "noise", "rho", "gap")))
 
 
 @settings(max_examples=16, deadline=None)
@@ -269,6 +270,8 @@ CONFIG_FIELDS = ("sweep", "values", "seed", "trials", "omega", "synth_band", "mi
 @simulate_example({**NOISE_CONFIG, "synth_band": [1, 2]})
 @simulate_example({**NOISE_CONFIG, "values": 5})
 @simulate_example({**NOISE_CONFIG, "seeds": 5})
+@simulate_example({"sweep": "noise", "values": [0.1], "seed": 0, "trials": HUGE, "omega": 0.25, "synth_band": 0.2})
+@simulate_example({**NOISE_CONFIG, "omega": HUGE})
 def test_simulate_input_ends_in_a_documented_exit(inputs, workdir):
     """Beyond the documented exit: a config refused as it is read names its field, or says it is no object."""
     code, message = check_exit(inputs, workdir)
@@ -279,6 +282,7 @@ def test_simulate_input_ends_in_a_documented_exit(inputs, workdir):
         return
     except ParameterError as exc:
         assert code == 2
-        assert "JSON object" in str(exc) or any(name in str(exc) for name in CONFIG_FIELDS), str(exc)
+        head, colon, _ = str(exc).partition(": ")
+        assert str(exc) == "experiment config must be a JSON object" or colon and head in CONFIG_FIELDS, str(exc)
         if set(argv[3:]) <= {"--format=json", "--format=csv"}:  # argparse has nothing to refuse first
             assert message == str(exc)
