@@ -189,6 +189,17 @@ def cmd_forecast(args) -> int:
 # diagnose
 # ---------------------------------------------------------------------------
 
+def _spans(sizes: list[int]) -> str:
+    """Sizes in the spec syntax, each run of consecutive ones as "a..b"."""
+    runs = []
+    for m in sizes:
+        if runs and m == runs[-1][1] + 1:
+            runs[-1][1] = m
+        else:
+            runs.append([m, m])
+    return ",".join(str(a) if a == b else f"{a}..{b}" for a, b in runs)
+
+
 def cmd_diagnose(args) -> int:
     omega = _omega_from_fraction(args.omega, args.omega2)
     config = {
@@ -205,7 +216,7 @@ def cmd_diagnose(args) -> int:
         if any(axes[0][-1] > MAX_MISSING for axes in ranges):
             raise GeometryError(f"--gap-sizes lists a gap longer than the {MAX_MISSING} samples "
                                 "that can be recovered")
-        rows = []
+        rows, flagged = [], []
         for m in itertools.chain.from_iterable(axes[0] for axes in ranges):
             mask = make_mask(IndexWindow(1, m), range(1, m + 1))
             diag = diagnostics(assemble_operator(mask, omega))
@@ -214,7 +225,13 @@ def cmd_diagnose(args) -> int:
                 "spectral_norm": diag.spectral_norm,
                 "min_eig_I_minus_A": diag.min_eig_I_minus_A,
             })
+            if diag.warnings:
+                flagged.append(m)
         doc["sweep"] = rows
+        if flagged:
+            doc["warnings"] = [f"gap sizes {_spans(flagged)}: 1 - ||A|| is below working precision "
+                               "(|M| eps), so spectral_norm is reported as 1.0; at rho = 0 the "
+                               "system is singular to working precision"]
         _emit(doc, args, rows, ["gap_size", "spectral_norm", "min_eig_I_minus_A"])
         return EXIT_OK
     missing = parse_missing_spec(args.missing)
@@ -224,14 +241,22 @@ def cmd_diagnose(args) -> int:
     mask = make_mask(IndexWindow(coords.min(axis=0), coords.max(axis=0)), missing)
     op = assemble_operator(mask, omega)
     diag = diagnostics(op)
-    spectrum = [float(v) for v in eigenvalues(op)]
+    evs = eigenvalues(op)
+    spectrum = np.clip(evs, 0.0, 1.0)  # A is PSD with ||A|| < 1: what lies outside is rounding
     doc["diagnostics"] = {
         "spectral_norm": diag.spectral_norm,
         "min_eig_I_minus_A": diag.min_eig_I_minus_A,
         "size": diag.size,
-        "spectrum": spectrum,
+        "spectrum": spectrum.tolist(),
     }
-    rows = [{"eigenvalue": v} for v in spectrum]
+    warnings = list(diag.warnings)
+    clamped = np.count_nonzero(spectrum != evs)
+    if clamped:
+        warnings.append(f"{clamped} eigenvalues lie outside [0, 1] by rounding and are printed "
+                        "clamped into it")
+    if warnings:
+        doc["warnings"] = [f"mask {args.missing}: {w}" for w in warnings]
+    rows = [{"eigenvalue": v} for v in doc["diagnostics"]["spectrum"]]
     _emit(doc, args, rows, ["eigenvalue"])
     return EXIT_OK
 

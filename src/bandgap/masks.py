@@ -92,13 +92,6 @@ class IndexWindow:
             return False
         return all(a <= v <= b for v, a, b in zip(t_axes, self._lo_axes(), self._hi_axes()))
 
-    def indices(self) -> list[Index]:
-        """All window indices in lexicographic (row-major) order."""
-        if self.ndim == 1:
-            return list(range(self.lo, self.hi + 1))
-        (l1, l2), (h1, h2) = self.lo, self.hi
-        return [(i, j) for i in range(l1, h1 + 1) for j in range(l2, h2 + 1)]
-
     def offset_of(self, t: Index) -> tuple[int, ...]:
         """Array offset of an in-window index."""
         t_axes = t if isinstance(t, tuple) else (t,)
@@ -119,10 +112,6 @@ class ObservationMask:
     @property
     def n_missing(self) -> int:
         return len(self.missing)
-
-    @property
-    def n_observed(self) -> int:
-        return self.window.size - len(self.missing)
 
     @cached_property
     def offsets(self) -> np.ndarray:

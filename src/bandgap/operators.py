@@ -23,7 +23,8 @@ alone is computed once per matrix and reused by every caller: per rho, a
 blocked Cholesky factor of S = (1+rho)I - A and the margin 1 + rho - ||A||
 = lambda_min(S), read from that factor by a short Lanczos run on S^-1
 (Parlett, *The Symmetric Eigenvalue Problem*).  The full spectrum, one
-`eigvalsh`, is computed only where it is the output (`eigenvalues`).
+`eigvalsh`, is computed only where it is the output (`eigenvalues`), and
+is not kept.
 """
 
 from __future__ import annotations
@@ -129,12 +130,17 @@ class CholeskyFactor:
 
 @dataclass(frozen=True)
 class OperatorDiagnostics:
-    """Spectral facts of one operator at one rho; `margin` = 1 + rho - ||A|| is 0 or above |M| eps (1+rho)."""
+    """Spectral facts of one operator at one rho; `margin` = 1 + rho - ||A|| is 0 or above |M| eps (1+rho).
+
+    `spectral_norm` is at most 1: where 1 - ||A|| is below working
+    precision it is 1.0, and `warnings` says so.
+    """
 
     margin: float
     spectral_norm: float
     min_eig_I_minus_A: float
     size: int
+    warnings: tuple[str, ...] = ()
 
 
 def check_dims(mask: ObservationMask, omega: BandLimit) -> None:
@@ -213,14 +219,8 @@ def assemble_rhs(series: Series, mask: ObservationMask, omega: BandLimit) -> np.
 
 
 def eigenvalues(op: GapOperator) -> np.ndarray:
-    """Ascending eigenvalues of the (symmetric) gap matrix, one `eigvalsh` per matrix (read-only)."""
-
-    def compute():
-        evs = np.linalg.eigvalsh(op.matrix)
-        evs.flags.writeable = False
-        return evs
-
-    return op.derived("spectrum", compute)
+    """Ascending eigenvalues of the (symmetric) gap matrix: one `eigvalsh`, not kept."""
+    return np.linalg.eigvalsh(op.matrix)
 
 
 def diagnostics(op: GapOperator, rho: float = 0.0) -> OperatorDiagnostics:
@@ -231,8 +231,12 @@ def diagnostics(op: GapOperator, rho: float = 0.0) -> OperatorDiagnostics:
     lambda_min((1+rho)I - A), computed once per matrix and rho from the
     operator's Cholesky factor at that rho; then ||A|| = 1 + rho - margin.
     A factorization that fails, or a margin of at most |M| eps (1+rho), is
-    below working precision and counts as a margin of 0, so
-    `min_eig_I_minus_A` = max(0, 1 - ||A||) is never negative.
+    below working precision and counts as a margin of 0.  Where 1 - ||A|| =
+    margin - rho is at most that floor too, whatever rho is, ||A|| < 1 is
+    beyond working precision: `spectral_norm` is then 1.0 and
+    `min_eig_I_minus_A` 0.0, and the record carries a warning that says so
+    and whether rho keeps the system solvable.  So `spectral_norm` is never
+    above 1 and `min_eig_I_minus_A` = max(0, 1 - ||A||) never negative.
     """
     if not (math.isfinite(rho) and rho >= 0):
         raise ParameterError(f"rho must be a finite nonnegative number, not {rho}")
@@ -302,12 +306,20 @@ def _lanczos_margin(factor: CholeskyFactor, m: int) -> float:
 def _diagnostics(op: GapOperator, rho: float) -> OperatorDiagnostics:
     factor = cholesky(op, rho)
     margin = 0.0 if factor is None else _lanczos_margin(factor, op.size)
-    if margin <= op.size * np.finfo(np.float64).eps * (1.0 + rho):
+    floor = op.size * np.finfo(np.float64).eps * (1.0 + rho)
+    if margin <= floor:
         margin = 0.0
-    spectral_norm = 1.0 + rho - margin
+    spectral_norm, warnings = 1.0 + rho - margin, ()
+    if margin - rho <= floor:
+        spectral_norm = 1.0
+        solvable = (f"rho = {rho:g} keeps the system solvable" if margin
+                    else f"at rho = {rho:g} the system is singular to working precision")
+        warnings = (f"1 - ||A|| is below working precision (|M| eps (1 + rho) = {floor:.1e}), "
+                    f"so spectral_norm is reported as 1.0; {solvable}",)
     return OperatorDiagnostics(
         margin=margin,
         spectral_norm=spectral_norm,
         min_eig_I_minus_A=max(0.0, 1.0 - spectral_norm),
         size=op.size,
+        warnings=warnings,
     )

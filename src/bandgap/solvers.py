@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError, NonConvergenceError, ParameterError, SolverError
-from .operators import GapOperator, cholesky, diagnostics
+from .operators import GapOperator, OperatorDiagnostics, cholesky, diagnostics
 
 
 # A margin 1 + rho - ||A|| below this makes a solve warn of ill-conditioning.
@@ -66,15 +66,15 @@ def _rhs(op: GapOperator, rhs: np.ndarray) -> np.ndarray:
     return rhs
 
 
-def _margin(op: GapOperator, rho: float) -> float:
-    """The margin of the operator's `diagnostics` record; one of 0 is a SolverError."""
-    margin = diagnostics(op, rho).margin
-    if margin == 0.0:
+def _solvable(op: GapOperator, rho: float) -> OperatorDiagnostics:
+    """The operator's `diagnostics` record; one whose margin is 0 is a SolverError."""
+    diag = diagnostics(op, rho)
+    if diag.margin == 0.0:
         raise SolverError(
             "system is singular to working precision at this rho: "
             "1 + rho - ||A|| is at most |M| eps (1 + rho)"
         )
-    return margin
+    return diag
 
 
 def _residual(op: GapOperator, rho: float, a: np.ndarray, y: np.ndarray) -> float:
@@ -86,13 +86,13 @@ def _residual(op: GapOperator, rho: float, a: np.ndarray, y: np.ndarray) -> floa
     return residual
 
 
-def _report(op: GapOperator, rho: float, a: np.ndarray, margin: float, y: np.ndarray,
+def _report(op: GapOperator, rho: float, a: np.ndarray, diag: OperatorDiagnostics, y: np.ndarray,
             iterations: int, method: str) -> SolveReport:
-    """A solve's report: its residual, the norm bound 1/margin, and an ill-conditioning warning."""
-    warnings = ()
+    """A solve's report: its residual, the norm bound 1/margin, the record's warnings and an ill-conditioning one."""
+    margin, warnings = diag.margin, diag.warnings
     if margin < CONDITION_WARN_THRESHOLD:
-        warnings = (f"ill-conditioned system: 1 + rho - ||A|| = {margin:.3e} below threshold "
-                    f"{CONDITION_WARN_THRESHOLD:.1e}",)
+        warnings += (f"ill-conditioned system: 1 + rho - ||A|| = {margin:.3e} below threshold "
+                     f"{CONDITION_WARN_THRESHOLD:.1e}",)
     return SolveReport(y=y, residual=_residual(op, rho, a, y), iterations=iterations,
                        norm_bound=1.0 / margin, rho=rho, method=method, warnings=warnings)
 
@@ -103,9 +103,9 @@ def solve_direct(op: GapOperator, rho: float, rhs: np.ndarray) -> SolveReport:
     The factor is kept on the operator, so further right-hand sides for the
     same operator and rho cost two blocked triangular solves each.
     """
-    margin = _margin(op, rho)
+    diag = _solvable(op, rho)
     a = _rhs(op, rhs)
-    return _report(op, rho, a, margin, cholesky(op, rho).solve(a), 0, "direct")
+    return _report(op, rho, a, diag, cholesky(op, rho).solve(a), 0, "direct")
 
 
 def solve_neumann(op: GapOperator, rho: float, rhs: np.ndarray,
@@ -119,9 +119,9 @@ def solve_neumann(op: GapOperator, rho: float, rhs: np.ndarray,
     which is orders of magnitude above tol when ||A|| is close to 1.
     """
     config = config or SolverConfig()
-    margin = _margin(op, rho)
+    diag = _solvable(op, rho)
     a = _rhs(op, rhs)
-    q = (1.0 + rho - margin) / (1.0 + rho)  # below 1, as the margin is positive
+    q = (1.0 + rho - diag.margin) / (1.0 + rho)  # below 1, as the margin is positive
     threshold = config.tol * min(1.0, (1.0 - q) / q) if q > 0 else config.tol
     scale = 1.0 / (1.0 + rho)
     y = scale * a
@@ -131,7 +131,7 @@ def solve_neumann(op: GapOperator, rho: float, rhs: np.ndarray,
         step = float(np.linalg.norm(y_next - y))
         y = y_next
         if step <= threshold:
-            return _report(op, rho, a, margin, y, iterations, "neumann")
+            return _report(op, rho, a, diag, y, iterations, "neumann")
         iterations += 1
     raise NonConvergenceError(
         f"no convergence after {config.max_iter} iterations (last step {step:.3e}, "
@@ -151,4 +151,4 @@ def error_bound(op: GapOperator, rho: float, eta_norm: float) -> float:
     """
     if not (math.isfinite(eta_norm) and eta_norm >= 0):
         raise ParameterError(f"perturbation norm must be a finite nonnegative number, not {eta_norm}")
-    return eta_norm / _margin(op, rho)
+    return eta_norm / _solvable(op, rho).margin

@@ -12,6 +12,7 @@ import pytest
 from bandgap import BandLimit, IndexWindow, Series, SolverError, recover_single_value
 from bandgap.cli import _emit, main
 from bandgap.masks import MAX_MISSING, MAX_WINDOW_SIZE, make_mask
+from bandgap.operators import assemble_operator
 from bandgap.series import write_series_csv
 
 
@@ -102,7 +103,7 @@ class TestRecoverCommand:
         s = Series(window=w, values=rng.standard_normal(41))
         path = tmp_path / "gappy.csv"
         lines = ["t,value"]
-        for t in w.indices():
+        for t in range(-20, 21):
             if t != 5:
                 lines.append(f"{t},{s.value_at(t)!r}")
         path.write_text("\n".join(lines) + "\n")
@@ -167,7 +168,7 @@ class TestRecoverCommand:
         path = tmp_path / "gappy.csv"
         absent = {5, 6, 7, 20}
         path.write_text("t,value\n" + "".join(
-            f"{t},{s.value_at(t)!r}\n" for t in w.indices() if t not in absent))
+            f"{t},{s.value_at(t)!r}\n" for t in range(41) if t not in absent))
         out = tmp_path / "out.json"
         assert run(["recover", "--input", str(path), "--missing", "6..9", "--omega", "0.25",
                     "--output", str(out)]) == 0
@@ -428,9 +429,70 @@ class TestDiagnoseCommand:
     def test_empty_missing_without_sweep(self):
         assert run(["diagnose", "--omega", "0.25"]) == 3
 
+    def test_sweep_flags_the_gap_sizes_below_working_precision(self, tmp_path):
+        out = tmp_path / "sweep.json"
+        assert run(["diagnose", "--gap-sizes", "20..22", "--omega", "0.5", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert [row["spectral_norm"] for row in doc["sweep"]][1:] == [1.0, 1.0]
+        assert all(row["spectral_norm"] <= 1.0 for row in doc["sweep"])
+        assert doc["sweep"][0]["spectral_norm"] < 1.0 and doc["sweep"][0]["min_eig_I_minus_A"] > 0.0
+        (warning,) = doc["warnings"]
+        assert warning.startswith("gap sizes 21..22: 1 - ||A|| is below working precision")
+
+    def test_spectrum_is_clamped_into_the_unit_interval(self, tmp_path):
+        out = tmp_path / "d.json"
+        assert run(["diagnose", "--missing", "1..128", "--omega", "0.9", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        spectrum = doc["diagnostics"]["spectrum"]
+        assert all(0.0 <= v <= 1.0 for v in spectrum) and spectrum == sorted(spectrum)
+        assert doc["diagnostics"]["spectral_norm"] == 1.0
+        below, clamped = doc["warnings"]
+        assert below.startswith("mask 1..128: 1 - ||A|| is below working precision")
+        op = assemble_operator(make_mask(IndexWindow(1, 128), range(1, 129)), BandLimit.from_pi_fraction(0.9))
+        evs = np.linalg.eigvalsh(op.matrix)
+        assert clamped == (f"mask 1..128: {np.count_nonzero((evs < 0) | (evs > 1))} eigenvalues lie "
+                           "outside [0, 1] by rounding and are printed clamped into it")
+
+    def test_no_warnings_key_when_nothing_is_flagged(self, tmp_path):
+        for i, argv in enumerate([["--missing", "1..8"], ["--gap-sizes", "1..20"]]):
+            out = tmp_path / f"d{i}.json"
+            assert run(["diagnose", *argv, "--omega", "0.25", "--output", str(out)]) == 0
+            assert "warnings" not in json.loads(out.read_text())
+
     def test_gap_size_zero_is_parameter_error(self, capsys):
         code, error, _ = run_refused(["diagnose", "--omega", "0.5", "--gap-sizes", "0"], capsys)
         assert code == 2 and error["message"] == "--gap-sizes must be positive integers"
+
+
+class TestNormBelowWorkingPrecision:
+    """Where 1 - ||A|| is below |M| eps (1 + rho) but rho keeps the margin, ||A|| is reported as 1.0 with a warning."""
+
+    @pytest.fixture
+    def ramp_401(self, tmp_path):
+        path = tmp_path / "ramp.csv"
+        path.write_text("t,value\n" + "".join(f"{t},{0.01 * t}\n" for t in range(-200, 201)))
+        return str(path)
+
+    def test_gap_at_half_band_with_a_ridge(self, ramp_401, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["recover", "--input", ramp_401, "--missing=1..25", "--omega", "0.5", "--rho", "1e-4",
+                    "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        diag = doc["diagnostics"]
+        assert diag["spectral_norm"] == 1.0 and diag["min_eig_I_minus_A"] == 0.0
+        assert diag["norm_bound"] == pytest.approx(1e4, rel=1e-8)  # the margin is rho
+        assert doc["warnings"] == [
+            "1 - ||A|| is below working precision (|M| eps (1 + rho) = 5.6e-15), so spectral_norm is "
+            "reported as 1.0; rho = 0.0001 keeps the system solvable"]
+
+    def test_a_clear_margin_is_reported_as_before(self, ramp_401, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["recover", "--input", ramp_401, "--missing=1..25", "--omega", "0.25", "--rho", "1e-4",
+                    "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["warnings"] == []
+        assert 0.0 < doc["diagnostics"]["spectral_norm"] < 1.0
+        assert doc["diagnostics"]["min_eig_I_minus_A"] == 1.0 - doc["diagnostics"]["spectral_norm"]
 
 
 class TestSimulateCommand:
@@ -535,3 +597,11 @@ class TestSimulateCommand:
 
     def test_unknown_config_path(self, tmp_path):
         assert run(["simulate", "--config", str(tmp_path / "ghost.json")]) == 2
+
+
+def test_recover_refuses_an_empty_input_file(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    assert run(["recover", "--input", str(path), "--missing", "1", "--omega", "0.25"]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"category": "parameter", "message": f"series file {path} is empty"}

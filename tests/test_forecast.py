@@ -195,3 +195,9 @@ def test_window_cap_is_checked_before_allocation(call):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_a_2d_past_is_refused():
+    past = Series(window=IndexWindow((-3, 0), (0, 0)), values=np.ones((4, 1)))
+    with pytest.raises(GeometryError, match="^forecasting is a 1D operation$"):
+        forecast(ForecastSpec(past=past, horizon=1, gap=2, omega=BandLimit(0.5), n=10))

@@ -90,3 +90,8 @@ def test_convolution_reproduces_bandlimited_signal():
     for t in [-5, 0, 3, 20]:
         conv = float(kernel_profile(w, t - ts) @ x)
         assert conv == pytest.approx(float(signal(np.array([t]))[0]), rel=1e-2)
+
+
+def test_a_band_limit_of_three_cutoffs_is_refused():
+    with pytest.raises(ParameterError, match="^band limit must be a scalar or a pair$"):
+        BandLimit((0.5, 0.5, 0.5))

@@ -384,3 +384,35 @@ def test_trials_are_generated_one_at_a_time():
             tracemalloc.stop()
 
     assert peak(10) <= 1.05 * peak(2)
+
+
+class TestRefusals:
+    def test_a_2d_signal_spec_is_refused(self):
+        with pytest.raises(ParameterError, match="^signal synthesis is 1D$"):
+            SignalSpec(band=BandLimit((0.5, 0.5)), window=IndexWindow((0, 0), (4, 4)),
+                       centers=(0,), amplitudes=(1.0,))
+
+    def test_noise_with_a_mask_on_another_window_is_refused(self):
+        series = Series(window=IndexWindow(-5, 5), values=np.zeros(11))
+        with pytest.raises(GeometryError, match="^mask and series windows differ$"):
+            add_noise(series, 0.1, 0, mask=make_mask(IndexWindow(-5, 6), [0]))
+
+    def test_the_oracle_refuses_an_empty_mask(self):
+        window = IndexWindow(-5, 5)
+        problem = RecoveryProblem(series=Series(window=window, values=np.zeros(11)),
+                                  mask=make_mask(window, []), omega=BandLimit(0.5))
+        with pytest.raises(GeometryError, match="^missing set is empty; nothing to recover$"):
+            oracle_recover(problem)
+
+    def test_the_oracle_refuses_mismatched_windows(self):
+        problem = RecoveryProblem(series=Series(window=IndexWindow(-5, 5), values=np.zeros(11)),
+                                  mask=make_mask(IndexWindow(-5, 6), [0]), omega=BandLimit(0.5))
+        with pytest.raises(GeometryError, match="^series and mask are defined on different windows$"):
+            oracle_recover(problem)
+
+    def test_simulate_refuses_an_empty_value_list(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"sweep": "gap", "values": [], "omega": 0.25, "synth_band": 0.2}))
+        assert main(["simulate", "--config", str(path)]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"category": "parameter", "message": "gap sweep values: the list is empty"}

@@ -46,10 +46,6 @@ class TestWindow:
         with pytest.raises(GeometryError):
             IndexWindow(0, (1, 1))
 
-    def test_indices_lexicographic(self):
-        w = IndexWindow((0, 0), (1, 1))
-        assert w.indices() == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
     def test_size_cap(self):
         assert IndexWindow(1, MAX_WINDOW_SIZE).checked_size() == MAX_WINDOW_SIZE
         for window in [IndexWindow(0, MAX_WINDOW_SIZE), IndexWindow((0, 0), (2047, 2048))]:
@@ -62,13 +58,11 @@ class TestMakeMask:
     def test_singleton_counts(self):
         mask = make_mask(IndexWindow(-60, 60), [0])
         assert mask.n_missing == 1
-        assert mask.n_observed == 120
 
     def test_forecast_geometry(self):
         # window [-60, 60] with gaps {1..12}: the shape used for forecasting
         mask = make_mask(IndexWindow(-60, 60), range(1, 13))
         assert mask.n_missing == 12
-        assert mask.n_observed == 109
         assert mask.missing == tuple(range(1, 13))
 
     def test_2d_block(self):
@@ -217,10 +211,10 @@ class TestApplyMask:
         w = IndexWindow(-4, 4)
         mask = make_mask(w, [-3, 0, 2])
         gaps = set(mask.missing)
-        obs = {t for t in w.indices() if t not in gaps}
-        assert gaps | obs == set(w.indices())
+        obs = {t for t in range(-4, 5) if t not in gaps}
+        assert gaps | obs == set(range(-4, 5))
         assert gaps & obs == set()
-        assert mask.n_observed == len(obs) == 6
+        assert len(obs) == 6
 
     def test_window_mismatch(self):
         s = Series(window=IndexWindow(0, 4), values=np.zeros(5))
@@ -337,3 +331,9 @@ def _outcome(parse, text):
 def test_plain_comma_split_accepts_what_the_depth_tracking_split_did(text):
     """A comma inside parentheses never parsed, so splitting on every comma changes no outcome."""
     assert _outcome(parse_missing_spec, text) == _outcome(_reference_parse, text)
+
+
+def test_contains_is_false_for_an_index_of_another_dimensionality():
+    assert IndexWindow(0, 4).contains(2)
+    assert not IndexWindow(0, 4).contains((2, 2))
+    assert not IndexWindow((0, 0), (4, 4)).contains(2)

@@ -28,7 +28,7 @@ def closed_form_independent(series, s, frac):
     """Single-gap formula evaluated with plain math loops (test-side oracle)."""
     omega = frac * math.pi
     total = 0.0
-    for t in series.window.indices():
+    for t in range(series.window.lo, series.window.hi + 1):
         if t == s:
             continue
         arg = omega * (s - t)
@@ -293,3 +293,9 @@ def test_single_row_or_column_recovery_equals_1d(problems):
     assert list(got.values) == list(flat.mask.missing)
     assert np.max(np.abs(got.vector() - want.vector())) <= 1e-12
     assert got.warnings == want.warnings
+
+
+def test_single_value_recovery_refuses_a_2d_series():
+    series = Series(window=IndexWindow((0, 0), (4, 4)), values=np.ones((5, 5)))
+    with pytest.raises(GeometryError, match="^single-value recovery is a 1D operation$"):
+        recover_single_value(series, 2, BandLimit(0.5))

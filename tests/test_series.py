@@ -1,6 +1,7 @@
 """Series container semantics and CSV round-tripping."""
 
 import csv
+import itertools
 import subprocess
 import sys
 import urllib.request
@@ -151,13 +152,20 @@ def test_csv_errors_name_the_physical_line(tmp_path, row, message):
         read_series_csv(path)
 
 
+def window_indices(window):
+    """Every index of a window in row-major order: ints in 1D, pairs in 2D."""
+    lo, hi = np.atleast_1d(window.lo).tolist(), np.atleast_1d(window.hi).tolist()
+    axes = [range(a, b + 1) for a, b in zip(lo, hi)]
+    return list(itertools.product(*axes)) if window.ndim == 2 else list(axes[0])
+
+
 def reference_write(series, path, mask=None):
     """The per-index writer the array version replaced."""
     skip = set(mask.missing) if mask is not None else set()
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["t", "value"] if series.ndim == 1 else ["t1", "t2", "value"])
-        for t in series.window.indices():
+        for t in window_indices(series.window):
             if t not in skip:
                 writer.writerow([*(t if isinstance(t, tuple) else (t,)), repr(series.value_at(t))])
 
@@ -173,7 +181,7 @@ def masked_series(draw):
     values = np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                     min_size=window.size, max_size=window.size))).reshape(shape)
     corners = {window.lo, window.hi}
-    inner = [t for t in window.indices() if t not in corners]
+    inner = [t for t in window_indices(window) if t not in corners]
     missing = draw(st.lists(st.sampled_from(inner), unique=True)) if inner else []
     return Series(window=window, values=values), make_mask(window, missing)
 
@@ -313,3 +321,10 @@ def test_header_only_file_warns_nothing(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(ParameterError, match="no data rows"):
             read_series_csv(path)
+
+
+def test_writing_with_a_mask_on_another_window_is_refused(tmp_path):
+    series = Series(window=IndexWindow(0, 4), values=np.zeros(5))
+    with pytest.raises(GeometryError, match="^mask and series windows differ$"):
+        write_series_csv(series, tmp_path / "s.csv", mask=make_mask(IndexWindow(0, 5), [1]))
+    assert not (tmp_path / "s.csv").exists()
