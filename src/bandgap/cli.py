@@ -100,27 +100,16 @@ def cmd_recover(args) -> int:
     mask = make_mask(series.window, missing)
     omega = _omega_from_fraction(args.omega, args.omega2)
     solution = recover(RecoveryProblem(series=series, mask=mask, omega=omega, rho=args.rho))
-    report = solution.solve_report
-    diag = solution.operator_diagnostics
     config = {
         "input": args.input,
         "missing": args.missing,
         "omega": args.omega,
         "omega2": args.omega2,
-        "rho": report.rho,
+        "rho": solution.solve_report.rho,
     }
     doc = _base_doc("recover", config)
     doc["values"] = [dict(_index_doc(t), value=v) for t, v in solution.values.items()]
-    doc["diagnostics"] = {
-        "spectral_norm": diag.spectral_norm,
-        "min_eig_I_minus_A": diag.min_eig_I_minus_A,
-        "size": diag.size,
-        "residual": report.residual,
-        "iterations": report.iterations,
-        "norm_bound": report.norm_bound,
-        "rho": report.rho,
-        "method": report.method,
-    }
+    doc["diagnostics"] = solution.diagnostics()
     doc["warnings"] = list(solution.warnings)
     rows = doc["values"]
     fields = ["t1", "t2", "value"] if series.ndim == 2 else ["t", "value"]
@@ -145,7 +134,6 @@ def cmd_forecast(args) -> int:
         n = args.n  # None: the dummy's last index
     result = forecast(ForecastSpec(past=past, horizon=args.horizon, gap=args.gap,
                                    omega=_omega_from_fraction(args.omega), dummy=dummy, n=n, rho=args.rho))
-    report = result.solution.solve_report
     config = {
         "input": args.input,
         "horizon": args.horizon,
@@ -153,7 +141,7 @@ def cmd_forecast(args) -> int:
         "n": args.gap + len(result.dummy),
         "dummy": args.dummy,
         "omega": args.omega,
-        "rho": report.rho,
+        "rho": result.solution.solve_report.rho,
     }
     doc = _base_doc("forecast", config)
     doc["values"] = [
@@ -172,14 +160,7 @@ def cmd_forecast(args) -> int:
             for t, v in enumerate(values.tolist(), start=start)
         )
     doc["plot_data"] = plot_rows
-    doc["diagnostics"] = {
-        "residual": report.residual,
-        "iterations": report.iterations,
-        "norm_bound": report.norm_bound,
-        "rho": report.rho,
-        "spectral_norm": result.solution.operator_diagnostics.spectral_norm,
-        "min_eig_I_minus_A": result.solution.operator_diagnostics.min_eig_I_minus_A,
-    }
+    doc["diagnostics"] = result.solution.diagnostics()
     doc["warnings"] = list(result.solution.warnings)
     _emit(doc, args, plot_rows, ["t", "value", "series", "accepted"])
     return EXIT_OK
@@ -225,7 +206,7 @@ def cmd_diagnose(args) -> int:
                 "spectral_norm": diag.spectral_norm,
                 "min_eig_I_minus_A": diag.min_eig_I_minus_A,
             })
-            if diag.warnings:
+            if diag.min_eig_I_minus_A == 0.0:  # 1 - ||A|| below working precision
                 flagged.append(m)
         doc["sweep"] = rows
         if flagged:

@@ -26,7 +26,8 @@ size over seeded Monte-Carlo trials and aggregates error metrics.  It
 calls `prepare` once per sweep value, so the trials of one value, clean
 and noisy series alike, share one operator, one factorization and one
 margin; each trial's series is generated and solved in turn.  A row's
-`wall_ms` is its value's wall time divided by the number of trials.
+`wall_ms` is its value's wall time divided by the number of trials, and
+each value's aggregate carries the warnings of its solutions.
 Identical seeds give identical rows (the wall-clock fields are the only
 nondeterministic part of a report).
 """
@@ -384,8 +385,8 @@ def _trial_signal(band: BandLimit, window: IndexWindow, seed: int) -> SignalSpec
 
 
 def _value_rows(config: ExperimentConfig, value, missing: list, synth_band: BandLimit,
-                omega: BandLimit) -> list[dict]:
-    """One row per seed: every trial of a sweep value, clean and noisy, solved after one `prepare`."""
+                omega: BandLimit) -> tuple[list[dict], list[str]]:
+    """One row per seed, every trial of a sweep value solved after one `prepare`, and the geometry's warnings."""
     half_width = value if config.sweep == "window" else config.window
     window = IndexWindow(-half_width, half_width)
     mask = make_mask(window, range(1, value + 1) if config.sweep == "gap" else missing)
@@ -428,7 +429,7 @@ def _value_rows(config: ExperimentConfig, value, missing: list, synth_band: Band
         row["max_abs_error"] = float(np.max(err))
         row["rms_error"] = float(np.sqrt(np.mean(err**2)))
         rows.append(row)
-    return rows
+    return rows, list(clean.warnings)
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -446,7 +447,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     for value in config.values:
         t_value = time.perf_counter()
         try:
-            group = _value_rows(config, value, missing, synth_band, omega)
+            group, warnings = _value_rows(config, value, missing, synth_band, omega)
         except BandgapError as exc:
             first_error = first_error or exc
             failures.append({"sweep": config.sweep, "value": value, **config.seed_fields(), "status": "failed",
@@ -465,6 +466,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
             "bound_violation_count": int(np.sum([r["bound_violation"] for r in group])),
             "min_eig_I_minus_A": float(np.min([r["min_eig_I_minus_A"] for r in group])),
             "mean_sol_norm": float(np.mean([r["sol_norm"] for r in group])),
+            "warnings": warnings,
         })
     if not rows:
         raise first_error

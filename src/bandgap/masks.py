@@ -92,11 +92,6 @@ class IndexWindow:
             return False
         return all(a <= v <= b for v, a, b in zip(t_axes, self._lo_axes(), self._hi_axes()))
 
-    def offset_of(self, t: Index) -> tuple[int, ...]:
-        """Array offset of an in-window index."""
-        t_axes = t if isinstance(t, tuple) else (t,)
-        return tuple(v - a for v, a in zip(t_axes, self._lo_axes()))
-
 
 @dataclass(frozen=True)
 class ObservationMask:

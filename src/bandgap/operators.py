@@ -22,7 +22,8 @@ matrix is a SolverError when the operator is made.  What depends on A
 alone is computed once per matrix and reused by every caller: per rho, a
 blocked Cholesky factor of S = (1+rho)I - A and the margin 1 + rho - ||A||
 = lambda_min(S), read from that factor by a short Lanczos run on S^-1
-(Parlett, *The Symmetric Eigenvalue Problem*).  The full spectrum, one
+(Parlett, *The Symmetric Eigenvalue Problem*), together with every warning
+the margin calls for (`OperatorDiagnostics`).  The full spectrum, one
 `eigvalsh`, is computed only where it is the output (`eigenvalues`), and
 is not kept.
 """
@@ -45,6 +46,9 @@ BLOCK_ENTRIES = 1 << 16
 
 # Order of the diagonal blocks of the Cholesky factor.
 FACTOR_BLOCK = 64
+
+# A margin 1 + rho - ||A|| below this (and above 0) is warned of as ill-conditioning.
+CONDITION_WARN_THRESHOLD = 1e-8
 
 # Lanczos stops once the residual r of its top Ritz pair is below this
 # fraction of the Ritz value theta_1, which puts theta_1, and so the margin
@@ -133,7 +137,7 @@ class OperatorDiagnostics:
     """Spectral facts of one operator at one rho; `margin` = 1 + rho - ||A|| is 0 or above |M| eps (1+rho).
 
     `spectral_norm` is at most 1: where 1 - ||A|| is below working
-    precision it is 1.0, and `warnings` says so.
+    precision it is 1.0.  `warnings` holds every verdict on the margin.
     """
 
     margin: float
@@ -236,7 +240,9 @@ def diagnostics(op: GapOperator, rho: float = 0.0) -> OperatorDiagnostics:
     beyond working precision: `spectral_norm` is then 1.0 and
     `min_eig_I_minus_A` 0.0, and the record carries a warning that says so
     and whether rho keeps the system solvable.  So `spectral_norm` is never
-    above 1 and `min_eig_I_minus_A` = max(0, 1 - ||A||) never negative.
+    above 1 and `min_eig_I_minus_A` = max(0, 1 - ||A||) never negative.  A
+    margin above 0 and below CONDITION_WARN_THRESHOLD adds an
+    ill-conditioning warning.
     """
     if not (math.isfinite(rho) and rho >= 0):
         raise ParameterError(f"rho must be a finite nonnegative number, not {rho}")
@@ -316,6 +322,9 @@ def _diagnostics(op: GapOperator, rho: float) -> OperatorDiagnostics:
                     else f"at rho = {rho:g} the system is singular to working precision")
         warnings = (f"1 - ||A|| is below working precision (|M| eps (1 + rho) = {floor:.1e}), "
                     f"so spectral_norm is reported as 1.0; {solvable}",)
+    if 0.0 < margin < CONDITION_WARN_THRESHOLD:
+        warnings += (f"ill-conditioned system: 1 + rho - ||A|| = {margin:.3e} below threshold "
+                     f"{CONDITION_WARN_THRESHOLD:.1e}",)
     return OperatorDiagnostics(
         margin=margin,
         spectral_norm=spectral_norm,

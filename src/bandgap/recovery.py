@@ -5,9 +5,11 @@ gap operator and right-hand side, solves (1+rho)*y = A*y + a, and returns
 the recovered values on the missing set together with spectral and solver
 diagnostics.  Only the missing trace is ever computed; the in-sample
 band-limited approximation on the observed set is never materialized.
-The operator, its factorization and its margin depend on the mask, the
-band limit and rho alone: `prepare` builds them once and returns the
-per-series solve, which the forecast and lab layers call once per series.
+The operator, its factorization, its margin and every warning depend on
+the mask, the band limit and rho alone: `prepare` builds them once and
+returns the per-series solve, which the forecast and lab layers call once
+per series.  `RecoverySolution.diagnostics` is the one serialization of a
+solution's evidence: the `diagnostics` object of recover and forecast JSON.
 
 `recover_single_value` is the closed form for a single gap,
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -72,7 +74,9 @@ class RecoveryProblem:
 class RecoverySolution:
     """Recovered values keyed by missing index, plus solve evidence.
 
-    The brute-force lab oracle returns values only (diagnostics fields None).
+    `warnings` are those of the geometry: the half-line one, then the
+    operator record's.  The brute-force lab oracle returns values only
+    (diagnostics fields None).
     """
 
     values: dict
@@ -82,6 +86,15 @@ class RecoverySolution:
 
     def vector(self) -> np.ndarray:
         return np.array(list(self.values.values()), dtype=np.float64)
+
+    def diagnostics(self) -> dict:
+        """The operator record's fields, then the solve report's, in field order; the CLI's `diagnostics`.
+
+        The margin, the warnings (listed apart) and the solution vector are left out.
+        """
+        return {f.name: getattr(record, f.name)
+                for record in (self.operator_diagnostics, self.solve_report)
+                for f in fields(record) if f.name not in ("margin", "warnings", "y")}
 
 
 def resolve_rho(rho: float | None, n_missing: int) -> float:
@@ -100,11 +113,11 @@ def prepare(
     Returns `solve(series)`, the recovery of one series on the mask's
     window: each call costs one right-hand side and one solve, so any
     number of series share what depends on the mask, the band limit and rho
-    alone.  `rho=None` selects the default policy.  A 2D window that is a
-    single row or column carries no resolvable structure along the
-    degenerate axis, so it is solved on the 1D pipeline of the other axis;
-    keeping the tensor kernel instead would silently rescale everything by
-    the degenerate axis' omega/pi.
+    alone, warnings included.  `rho=None` selects the default policy.  A 2D
+    window that is a single row or column carries no resolvable structure
+    along the degenerate axis, so it is solved on the 1D pipeline of the
+    other axis; keeping the tensor kernel instead would silently rescale
+    everything by the degenerate axis' omega/pi.
     """
     window, missing = mask.window, mask.missing
     check_dims(mask, omega)
@@ -116,9 +129,9 @@ def prepare(
         sub_window = IndexWindow(window.lo[keep], window.hi[keep])
         mask = make_mask(sub_window, mask.offsets[:, keep] + sub_window.lo)
         omega = BandLimit(omega.axes[keep])
-    warnings = () if observed_halfline_exists(mask) else (HALFLINE_WARNING,)
     op = assemble_operator(mask, omega)
     diag = diagnostics(op, rho)
+    warnings = (() if observed_halfline_exists(mask) else (HALFLINE_WARNING,)) + diag.warnings
 
     def solve(series: Series) -> RecoverySolution:
         if series.window != window:
@@ -130,7 +143,7 @@ def prepare(
             values=dict(zip(missing, report.y.tolist())),
             operator_diagnostics=diag,
             solve_report=report,
-            warnings=warnings + report.warnings,
+            warnings=warnings,
         )
 
     return solve

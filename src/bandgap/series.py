@@ -37,7 +37,7 @@ _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 @dataclass(frozen=True, eq=False)
 class Series:
-    """Samples indexed by a window; values[offset_of(t)] is the sample at t."""
+    """Samples indexed by a window; the sample at t is values[t - window.lo], per axis in 2D."""
 
     window: IndexWindow
     values: np.ndarray
@@ -53,11 +53,6 @@ class Series:
     @property
     def ndim(self) -> int:
         return self.window.ndim
-
-    def value_at(self, t: Index) -> float:
-        if not self.window.contains(t):
-            raise GeometryError(f"index {t!r} outside window [{self.window.lo}, {self.window.hi}]")
-        return float(self.values[self.window.offset_of(t)])
 
     @classmethod
     def zeros(cls, window: IndexWindow) -> "Series":

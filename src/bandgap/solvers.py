@@ -1,8 +1,9 @@
 """Direct and iterative solvers for the recovery equation (1+rho)*y = A*y + a.
 
 Each solver takes the gap operator A, rho and the right-hand side a of one
-series, and checks a; what depends on A and rho alone (factor, margin) is
-memoised on the operator and serves every right-hand side.
+series, and checks a; what depends on A and rho alone (factor, margin and
+the margin's warnings, `operators.diagnostics`) is memoised on the operator
+and serves every right-hand side.
 
 For finite missing sets the matrix (1+rho)*I - A is symmetric positive
 definite (its eigenvalues are at least 1 + rho - ||A|| > 0), so the direct
@@ -17,16 +18,12 @@ direct solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GeometryError, NonConvergenceError, ParameterError, SolverError
 from .operators import GapOperator, OperatorDiagnostics, cholesky, diagnostics
-
-
-# A margin 1 + rho - ||A|| below this makes a solve warn of ill-conditioning.
-CONDITION_WARN_THRESHOLD = 1e-8
 
 
 @dataclass
@@ -53,7 +50,6 @@ class SolveReport:
     norm_bound: float
     rho: float
     method: str
-    warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
 def _rhs(op: GapOperator, rhs: np.ndarray) -> np.ndarray:
@@ -88,13 +84,9 @@ def _residual(op: GapOperator, rho: float, a: np.ndarray, y: np.ndarray) -> floa
 
 def _report(op: GapOperator, rho: float, a: np.ndarray, diag: OperatorDiagnostics, y: np.ndarray,
             iterations: int, method: str) -> SolveReport:
-    """A solve's report: its residual, the norm bound 1/margin, the record's warnings and an ill-conditioning one."""
-    margin, warnings = diag.margin, diag.warnings
-    if margin < CONDITION_WARN_THRESHOLD:
-        warnings += (f"ill-conditioned system: 1 + rho - ||A|| = {margin:.3e} below threshold "
-                     f"{CONDITION_WARN_THRESHOLD:.1e}",)
+    """A solve's report: its residual and the norm bound 1/margin."""
     return SolveReport(y=y, residual=_residual(op, rho, a, y), iterations=iterations,
-                       norm_bound=1.0 / margin, rho=rho, method=method, warnings=warnings)
+                       norm_bound=1.0 / diag.margin, rho=rho, method=method)
 
 
 def solve_direct(op: GapOperator, rho: float, rhs: np.ndarray) -> SolveReport:

@@ -46,7 +46,7 @@ def closed_form(series: Series, s: int, omega: float) -> float:
         if t == s:
             continue
         arg = omega * (s - t)
-        total += series.value_at(t) * (1.0 if arg == 0 else math.sin(arg) / arg)
+        total += series.values[t - series.window.lo] * (1.0 if arg == 0 else math.sin(arg) / arg)
     return omega / (math.pi - omega) * total
 
 
@@ -194,7 +194,7 @@ def test_criterion_7_noise_bound_soundness():
             series = Series(window=w, values=rng.standard_normal(201))
             eta = sigma * rng.standard_normal(201)
             for t in mask.missing:
-                eta[w.offset_of(t)] = 0.0
+                eta[t - w.lo] = 0.0
             noisy = Series(window=w, values=series.values + eta)
             y = solve_direct(op, 0.0, assemble_rhs(series, mask, bl)).y
             y_eta = solve_direct(op, 0.0, assemble_rhs(noisy, mask, bl)).y

@@ -12,7 +12,7 @@ import pytest
 from bandgap import BandLimit, IndexWindow, Series, SolverError, recover_single_value
 from bandgap.cli import _emit, main
 from bandgap.masks import MAX_MISSING, MAX_WINDOW_SIZE, make_mask
-from bandgap.operators import assemble_operator
+from bandgap.operators import CONDITION_WARN_THRESHOLD, assemble_operator
 from bandgap.series import write_series_csv
 
 
@@ -105,7 +105,7 @@ class TestRecoverCommand:
         lines = ["t,value"]
         for t in range(-20, 21):
             if t != 5:
-                lines.append(f"{t},{s.value_at(t)!r}")
+                lines.append(f"{t},{float(s.values[t + 20])!r}")
         path.write_text("\n".join(lines) + "\n")
         out = tmp_path / "out.json"
         code = run(["recover", "--input", str(path), "--missing", "0", "--omega", "0.25",
@@ -168,7 +168,7 @@ class TestRecoverCommand:
         path = tmp_path / "gappy.csv"
         absent = {5, 6, 7, 20}
         path.write_text("t,value\n" + "".join(
-            f"{t},{s.value_at(t)!r}\n" for t in range(41) if t not in absent))
+            f"{t},{float(s.values[t])!r}\n" for t in range(41) if t not in absent))
         out = tmp_path / "out.json"
         assert run(["recover", "--input", str(path), "--missing", "6..9", "--omega", "0.25",
                     "--output", str(out)]) == 0
@@ -273,6 +273,17 @@ class TestForecastCommand:
         assert outs[0]["values"] == outs[1]["values"]
         assert outs[0]["config"]["omega"] == 0.25
         assert outs[0]["config"]["n"] == 60
+
+    def test_diagnostics_are_those_of_recover(self, series_121, tmp_path):
+        past = Series(window=IndexWindow(-60, 0), values=np.random.default_rng(57).standard_normal(61))
+        write_series_csv(past, tmp_path / "past.csv")
+        _, path = series_121
+        assert run(["forecast", "--input", str(tmp_path / "past.csv"), "--output", str(tmp_path / "f.json")]) == 0
+        assert run(["recover", "--input", path, "--missing", "1..12", "--omega", "0.25",
+                    "--output", str(tmp_path / "r.json")]) == 0
+        keys = [list(json.loads((tmp_path / name).read_text())["diagnostics"]) for name in ("f.json", "r.json")]
+        assert keys[0] == keys[1] == ["spectral_norm", "min_eig_I_minus_A", "size", "residual",
+                                      "iterations", "norm_bound", "rho", "method"]
 
     def test_plot_data_covers_all_series(self, tmp_path):
         rng = np.random.default_rng(56)
@@ -430,14 +441,26 @@ class TestDiagnoseCommand:
         assert run(["diagnose", "--omega", "0.25"]) == 3
 
     def test_sweep_flags_the_gap_sizes_below_working_precision(self, tmp_path):
+        # sizes 18..20 are ill-conditioned, and their records say so, but they are not flagged
         out = tmp_path / "sweep.json"
-        assert run(["diagnose", "--gap-sizes", "20..22", "--omega", "0.5", "--output", str(out)]) == 0
+        assert run(["diagnose", "--gap-sizes", "18..22", "--omega", "0.5", "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert [row["spectral_norm"] for row in doc["sweep"]][1:] == [1.0, 1.0]
+        assert [row["spectral_norm"] for row in doc["sweep"]][3:] == [1.0, 1.0]
         assert all(row["spectral_norm"] <= 1.0 for row in doc["sweep"])
-        assert doc["sweep"][0]["spectral_norm"] < 1.0 and doc["sweep"][0]["min_eig_I_minus_A"] > 0.0
+        assert all(row["spectral_norm"] < 1.0 and row["min_eig_I_minus_A"] > 0.0 for row in doc["sweep"][:3])
+        assert doc["warnings"] == ["gap sizes 21..22: 1 - ||A|| is below working precision (|M| eps), "
+                                   "so spectral_norm is reported as 1.0; at rho = 0 the system is "
+                                   "singular to working precision"]
+
+    def test_mask_above_working_precision_warns_of_ill_conditioning(self, tmp_path):
+        # 1 - ||A|| = 1.77e-14 lies above |M| eps = 4.4e-15 and below the 1e-8 threshold
+        out = tmp_path / "d.json"
+        assert run(["diagnose", "--missing", "1..20", "--omega", "0.5", "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert 0.0 < doc["diagnostics"]["min_eig_I_minus_A"] < CONDITION_WARN_THRESHOLD
         (warning,) = doc["warnings"]
-        assert warning.startswith("gap sizes 21..22: 1 - ||A|| is below working precision")
+        assert warning.startswith("mask 1..20: ill-conditioned system: 1 + rho - ||A|| = ")
+        assert warning.endswith(" below threshold 1.0e-08")
 
     def test_spectrum_is_clamped_into_the_unit_interval(self, tmp_path):
         out = tmp_path / "d.json"

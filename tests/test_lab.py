@@ -50,7 +50,7 @@ class TestGenBandlimited:
         ts = np.arange(-half, half + 1)
         for t in (-4, 0, 7):
             conv = float(kernel_profile(0.25 * math.pi, t - ts) @ s.values)
-            assert conv == pytest.approx(s.value_at(t), rel=1e-2)
+            assert conv == pytest.approx(s.values[t + half], rel=1e-2)
 
     def test_spec_validation(self):
         w = IndexWindow(-10, 10)
@@ -79,8 +79,8 @@ class TestAddNoise:
         mask = make_mask(w, [0, 1])
         s = Series.zeros(w)
         noisy = add_noise(s, 0.5, seed=7, mask=mask)
-        assert noisy.series.value_at(0) == 0.0
-        assert noisy.series.value_at(1) == 0.0
+        assert noisy.series.values[10] == 0.0
+        assert noisy.series.values[11] == 0.0
         assert noisy.eta_norm > 0
 
     def test_negative_sigma_rejected(self):
@@ -293,6 +293,18 @@ class TestExperiments:
         strip = lambda rows: [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
         assert strip(r1["rows"]) == strip(r2["rows"])
         assert r1["aggregates"] == r2["aggregates"]
+
+    def test_aggregate_carries_the_warnings_of_its_value(self):
+        # 1 - ||A|| of the gap 1..25 at half band is below working precision; rho keeps it solvable
+        report = run_experiment(ExperimentConfig.from_json_dict(
+            {"sweep": "rho", "values": [0.0001], "omega": 0.5, "synth_band": 0.2, "missing": "1..25",
+             "window": 200}))
+        (aggregate,) = report["aggregates"]
+        assert any("below working precision" in w for w in aggregate["warnings"])
+        assert report["rows"][0]["spectral_norm"] == 1.0 and "warnings" not in report["rows"][0]
+        clear = run_experiment(ExperimentConfig.from_json_dict(
+            {"sweep": "rho", "values": [0.0001], "omega": 0.25, "synth_band": 0.2, "missing": "1..5"}))
+        assert clear["aggregates"][0]["warnings"] == []
 
     def test_rho_sweep_damps_solution_norm(self):
         config = ExperimentConfig(

@@ -97,7 +97,7 @@ def reference_make_mask(window, missing):
     for a, b in zip(ordered, ordered[1:]):
         if a == b:
             raise GeometryError(f"duplicate missing index {a!r}")
-    offsets = [window.offset_of(t) for t in ordered]
+    offsets = [np.subtract(t, window.lo) for t in ordered]
     return ordered, np.array(offsets, dtype=np.int64).reshape(len(ordered), window.ndim)
 
 

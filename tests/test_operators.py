@@ -138,7 +138,7 @@ class TestAssembleRhs:
             mask = make_mask(w, gaps)
             s = Series(window=w, values=rng.standard_normal(81))
             observed = [t for t in range(-40, 41) if t not in set(mask.missing)]
-            x_norm = math.sqrt(sum(s.value_at(t) ** 2 for t in observed))
+            x_norm = math.sqrt(sum(s.values[t + 40] ** 2 for t in observed))
             rhs = assemble_rhs(s, mask, bl)
             assert np.linalg.norm(rhs) <= x_norm + 1e-12
 

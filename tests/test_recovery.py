@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bandgap import (
@@ -15,7 +15,9 @@ from bandgap import (
     RecoveryProblem,
     ParameterError,
     Series,
+    assemble_operator,
     default_rho,
+    diagnostics,
     make_mask,
     recover,
     recover_single_value,
@@ -32,7 +34,7 @@ def closed_form_independent(series, s, frac):
         if t == s:
             continue
         arg = omega * (s - t)
-        total += series.value_at(t) * (1.0 if arg == 0 else math.sin(arg) / arg)
+        total += series.values[t - series.window.lo] * (1.0 if arg == 0 else math.sin(arg) / arg)
     return omega / (math.pi - omega) * total
 
 
@@ -122,21 +124,21 @@ class TestRecover:
         assert errors[1] <= 1e-3
         assert errors[0] > errors[1] > errors[2]
 
-    def test_linearity_and_scaling(self):
-        rng = np.random.default_rng(4)
+    @settings(max_examples=100, deadline=None)
+    @given(missing=st.sets(st.integers(-30, 30), min_size=1, max_size=12), frac=st.floats(0.05, 0.95),
+           rho=st.sampled_from([None, 0.0, 0.1]), scale=st.floats(-10.0, 10.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_linearity_and_scaling(self, missing, frac, rho, scale, seed):
         w = IndexWindow(-30, 30)
-        mask = make_mask(w, [-1, 0, 1])
-        bl = BandLimit.from_pi_fraction(0.3)
-        xa = Series(window=w, values=rng.standard_normal(61))
-        xb = Series(window=w, values=rng.standard_normal(61))
-        ya = recover(RecoveryProblem(series=xa, mask=mask, omega=bl)).vector()
-        yb = recover(RecoveryProblem(series=xb, mask=mask, omega=bl)).vector()
-        xsum = Series(window=w, values=xa.values + xb.values)
-        xscaled = Series(window=w, values=-2.5 * xa.values)
-        ysum = recover(RecoveryProblem(series=xsum, mask=mask, omega=bl)).vector()
-        yscaled = recover(RecoveryProblem(series=xscaled, mask=mask, omega=bl)).vector()
+        mask = make_mask(w, missing)
+        bl = BandLimit.from_pi_fraction(frac)
+        assume(diagnostics(assemble_operator(mask, bl)).margin >= 0.05)  # rho > 0 only adds to it
+        xa, xb = np.random.default_rng(seed).standard_normal((2, 61))
+        ya, yb, ysum, yscaled = (
+            recover(RecoveryProblem(series=Series(window=w, values=x), mask=mask, omega=bl, rho=rho)).vector()
+            for x in (xa, xb, xa + xb, scale * xa))
         assert np.max(np.abs(ysum - (ya + yb))) <= 1e-10
-        assert np.max(np.abs(yscaled + 2.5 * ya)) <= 1e-10
+        assert np.max(np.abs(yscaled - scale * ya)) <= 1e-10
 
     def test_halfline_warning(self):
         w = IndexWindow(-10, 10)
@@ -168,13 +170,21 @@ class TestRecover:
         with pytest.raises(GeometryError):
             recover(RecoveryProblem(series=s, mask=make_mask(w, []), omega=BandLimit.from_pi_fraction(0.25)))
 
-    def test_values_keyed_by_mask_order(self):
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), frac=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
+    def test_values_keyed_by_mask_order(self, data, frac, seed):
         w = IndexWindow(-10, 10)
-        rng = np.random.default_rng(33)
-        s = Series(window=w, values=rng.standard_normal(21))
-        mask = make_mask(w, [7, -3, 0])
-        sol = recover(RecoveryProblem(series=s, mask=mask, omega=BandLimit.from_pi_fraction(0.25)))
-        assert list(sol.values.keys()) == [-3, 0, 7]
+        listed = data.draw(st.lists(st.integers(-10, 10), min_size=1, max_size=12, unique=True))
+        shuffled = data.draw(st.permutations(listed))
+        s = Series(window=w, values=np.random.default_rng(seed).standard_normal(21))
+        want, got = (outcome(RecoveryProblem(series=s, mask=make_mask(w, order),
+                                             omega=BandLimit.from_pi_fraction(frac)))
+                     for order in (listed, shuffled))
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert list(want.values.keys()) == sorted(listed)
+        assert list(got.values.items()) == list(want.values.items())
 
 
 class TestRecover2D:

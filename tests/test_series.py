@@ -26,22 +26,6 @@ def test_shape_validation():
         Series(window=IndexWindow((0, 0), (2, 2)), values=np.zeros((3, 2)))
 
 
-def test_value_at():
-    s = Series(window=IndexWindow(-2, 2), values=np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
-    assert s.value_at(-2) == 1.0
-    assert s.value_at(2) == 5.0
-    with pytest.raises(GeometryError):
-        s.value_at(3)
-
-
-def test_value_at_2d():
-    vals = np.arange(9.0).reshape(3, 3)
-    s = Series(window=IndexWindow((-1, -1), (1, 1)), values=vals)
-    assert s.value_at((-1, -1)) == 0.0
-    assert s.value_at((0, 1)) == 5.0
-    assert s.value_at((1, 1)) == 8.0
-
-
 def test_csv_round_trip_1d(tmp_path):
     path = tmp_path / "series.csv"
     rng = np.random.default_rng(11)
@@ -62,8 +46,8 @@ def test_csv_round_trip_with_gaps(tmp_path):
     back, absent = read_series_csv(path)
     assert back.window == w
     assert absent == [2, 3]
-    assert back.value_at(2) == 0.0
-    assert back.value_at(6) == 7.0
+    assert back.values[2] == 0.0
+    assert back.values[6] == 7.0
 
 
 def test_csv_round_trip_2d(tmp_path):
@@ -135,7 +119,7 @@ def test_csv_absent_rows_2d_in_row_major_order(tmp_path):
     back, absent = read_series_csv(path)
     assert back.window == IndexWindow((-1, 2), (1, 4))
     assert absent == [(-1, 3), (-1, 4), (0, 2), (0, 3), (1, 2), (1, 4)]
-    assert back.value_at((0, 4)) == 2.0 and back.value_at((1, 2)) == 0.0
+    assert back.values[1, 2] == 2.0 and back.values[2, 0] == 0.0  # (0, 4) and (1, 2)
 
 
 @pytest.mark.parametrize("row, message", [
@@ -165,9 +149,9 @@ def reference_write(series, path, mask=None):
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["t", "value"] if series.ndim == 1 else ["t1", "t2", "value"])
-        for t in window_indices(series.window):
+        for t, v in zip(window_indices(series.window), series.values.ravel().tolist()):
             if t not in skip:
-                writer.writerow([*(t if isinstance(t, tuple) else (t,)), repr(series.value_at(t))])
+                writer.writerow([*(t if isinstance(t, tuple) else (t,)), repr(v)])
 
 
 @st.composite
@@ -278,7 +262,7 @@ def test_plain_file_takes_the_table_path(tmp_path, monkeypatch):
     monkeypatch.setattr(series_module, "_read_rows", lambda path: pytest.fail("the row parser ran"))
     back, absent = read_series_csv(path)
     assert back.window == IndexWindow((0, 0), (1, 1)) and absent == [(0, 0), (1, 1)]
-    assert back.value_at((0, 1)) == 2.5 and back.value_at((1, 0)) == -1e-3
+    assert back.values[0, 1] == 2.5 and back.values[1, 0] == -1e-3
     assert len(sources) == 1 and type(sources[0]) is str and Path(sources[0]) == path
 
 

@@ -35,8 +35,8 @@ from bandgap import (
 from bandgap import operators
 from bandgap.cli import main
 from bandgap.lab import ExperimentConfig, run_experiment
-from bandgap.operators import MAX_MISSING
-from bandgap.recovery import prepare
+from bandgap.operators import CONDITION_WARN_THRESHOLD, MAX_MISSING
+from bandgap.recovery import HALFLINE_WARNING, prepare
 from bandgap.solvers import error_bound, solve_direct, solve_neumann
 
 OMEGA = BandLimit.from_pi_fraction(0.25)
@@ -260,10 +260,15 @@ class TestStoredMargin:
         op, rhs = assemble_operator(mask, omega), np.ones(mask.n_missing)
         diag = diagnostics(op, rho)
         floor = op.size * np.finfo(np.float64).eps * (1.0 + rho)
-        if diag.margin - rho <= floor:  # 1 - ||A|| below working precision: ||A|| is reported as 1
-            assert (diag.spectral_norm, diag.min_eig_I_minus_A, len(diag.warnings)) == (1.0, 0.0, 1)
+        below = bool(diag.margin - rho <= floor)
+        if below:  # 1 - ||A|| below working precision: ||A|| is reported as 1
+            assert (diag.spectral_norm, diag.min_eig_I_minus_A) == (1.0, 0.0)
         else:
-            assert diag.spectral_norm == 1.0 + rho - diag.margin and diag.warnings == ()
+            assert diag.spectral_norm == 1.0 + rho - diag.margin
+        # the record holds every verdict on the margin: precision first, then ill-conditioning
+        ill = 0.0 < diag.margin < CONDITION_WARN_THRESHOLD
+        assert [("below working precision" in w, "ill-conditioned" in w) for w in diag.warnings] == (
+            [(True, False)] * below + [(False, True)] * ill)
         if diag.margin == 0.0:
             for bound in (lambda: solve_direct(op, rho, rhs), lambda: error_bound(op, rho, eta)):
                 with pytest.raises(SolverError, match="singular"):
@@ -272,7 +277,8 @@ class TestStoredMargin:
             assert diag.margin > floor
             report = solve_direct(op, rho, rhs)
             assert report.norm_bound == 1.0 / diag.margin
-            assert report.warnings[:len(diag.warnings)] == diag.warnings
+            solution = prepare(mask, omega, rho)(Series.zeros(mask.window))
+            assert solution.warnings in (diag.warnings, (HALFLINE_WARNING,) + diag.warnings)
             assert error_bound(op, rho, eta) == eta / diag.margin
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
