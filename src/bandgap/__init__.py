@@ -5,19 +5,15 @@ with a band-limited sequence and reading off the approximation on the
 missing set, which reduces to one small symmetric linear system per
 problem.  Also provides short-horizon forecasting by interpolating between
 the observed past and a dummy long-horizon forecast, plus a lab module
-with an independent brute-force oracle and a seeded experiment harness.
+with test-signal synthesis and a seeded experiment harness.  The
+independent references the tests check this against (a brute-force
+oracle, a Neumann-series solve, the single-gap closed form) live in
+`tests/oracles.py`, not in the package.
 """
 
 __version__ = "0.1.0"
 
-from .errors import (
-    BandgapError,
-    GeometryError,
-    NonConvergenceError,
-    OracleConditioningError,
-    ParameterError,
-    SolverError,
-)
+from .errors import BandgapError, GeometryError, ParameterError, SolverError
 from .forecast import ForecastResult, ForecastSpec, SensitivityReport, dummy_sensitivity, forecast
 from .kernel import BandLimit
 from .lab import (
@@ -26,8 +22,6 @@ from .lab import (
     SignalSpec,
     add_noise,
     gen_bandlimited,
-    oracle_grid_sensitivity,
-    oracle_recover,
     run_experiment,
 )
 from .masks import (
@@ -51,7 +45,6 @@ from .recovery import (
     RecoverySolution,
     default_rho,
     recover,
-    recover_single_value,
 )
-from .series import Series, read_series_csv, write_series_csv
-from .solvers import SolveReport, SolverConfig, error_bound, solve_direct, solve_neumann
+from .series import Series, read_series_csv
+from .solvers import SolveReport, error_bound, solve_direct

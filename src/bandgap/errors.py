@@ -1,12 +1,11 @@
 """Exception taxonomy shared by all bandgap modules.
 
 The CLI maps these onto stable exit codes: parameter/parse problems -> 2,
-index-geometry problems -> 3, numerical/solver problems -> 4.
+index-geometry problems -> 3, numerical/solver problems -> 4.  The test
+oracles in `tests/oracles.py` raise their own subclasses of SolverError.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 
 class BandgapError(Exception):
@@ -23,20 +22,3 @@ class GeometryError(BandgapError, ValueError):
 
 class SolverError(BandgapError, RuntimeError):
     """A numerical solve failed or a requested bound is unavailable."""
-
-
-class NonConvergenceError(SolverError):
-    """Iterative solve hit its iteration budget before reaching tolerance.
-
-    Carries the last iterate so callers can inspect or restart.
-    """
-
-    def __init__(self, message: str, iterate: np.ndarray, residual: float, iterations: int):
-        super().__init__(message)
-        self.iterate = iterate
-        self.residual = residual
-        self.iterations = iterations
-
-
-class OracleConditioningError(SolverError):
-    """The brute-force oracle's normal equations are too ill-conditioned to trust."""

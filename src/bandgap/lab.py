@@ -1,25 +1,8 @@
-"""Test-signal synthesis, noise injection, the brute-force oracle, and experiments.
+"""Test-signal synthesis, noise injection, and seeded experiments.
 
 Test signals are sinc mixtures: finite combinations of shifted low-pass
 kernels, band-limited by construction, so ground truth at any index is a
 closed form.
-
-`oracle_recover` re-solves the recovery problem by a completely different
-route: it parameterizes a real band-limited sequence by cosine/sine
-spectral samples on a uniform frequency grid over [0, omega], forms the
-quadratic objective of the truncated-input problem
-
-    sum_{t in D, |t| <= W} (x_bl(t) - x(t))^2
-      + sum_{|t| > W} x_bl(t)^2  +  rho * ||x_bl||^2,
-
-with both infinite sums evaluated through the Parseval identity by
-trapezoidal quadrature on the grid, and solves the resulting normal
-equations.  The normal matrix is diagonal plus a rank-|M| correction, so
-the solve goes through the Woodbury identity, which keeps very fine grids
-affordable; grids this fine are what the refinement gate (output change
-<= 1e-8 under grid doubling) requires.  Nothing from the operator or
-solver modules is used on this path; rho is resolved by the pipeline's own
-`resolve_rho`, default policy included.
 
 `run_experiment` sweeps window size, noise level, ridge weight, or gap
 size over seeded Monte-Carlo trials and aggregates error metrics.  It
@@ -41,18 +24,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import BandgapError, GeometryError, OracleConditioningError, ParameterError
+from .errors import BandgapError, GeometryError, ParameterError
 from .kernel import BandLimit, kernel_profile
 from .masks import IndexWindow, ObservationMask, make_mask, parse_missing_spec
-from .recovery import RecoveryProblem, RecoverySolution, prepare, resolve_rho
+from .recovery import prepare
 from .series import Series
 
 RNG_ALGORITHM = "numpy.random.Generator(PCG64)"
-
-ORACLE_MAX_HALF_WIDTH = 64
-ORACLE_MIN_GRID_FACTOR = 4
-ORACLE_DEFAULT_GRID = 50_000
-ORACLE_CONDITION_LIMIT = 1e12
 
 
 # ---------------------------------------------------------------------------
@@ -120,107 +98,6 @@ def add_noise(series: Series, sigma: float, seed: int | None, mask: ObservationM
         eta[tuple(mask.offsets.T)] = 0.0
     noisy = Series(window=series.window, values=series.values + eta)
     return NoisySeries(series=noisy, eta_norm=float(np.linalg.norm(eta)))
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-# ---------------------------------------------------------------------------
-
-def _oracle_inputs(problem: RecoveryProblem, grid: int):
-    window = problem.mask.window
-    if window.ndim != 1:
-        raise GeometryError("the oracle handles 1D problems only")
-    if max(abs(window.lo), abs(window.hi)) > ORACLE_MAX_HALF_WIDTH:
-        raise GeometryError(
-            f"oracle is restricted to windows within +-{ORACLE_MAX_HALF_WIDTH}"
-        )
-    if problem.mask.n_missing == 0:
-        raise GeometryError("missing set is empty; nothing to recover")
-    if grid < ORACLE_MIN_GRID_FACTOR * window.size:
-        raise ParameterError(
-            f"grid must be at least {ORACLE_MIN_GRID_FACTOR} * window size "
-            f"= {ORACLE_MIN_GRID_FACTOR * window.size}"
-        )
-    if problem.series.window != window:
-        raise GeometryError("series and mask are defined on different windows")
-    return window, resolve_rho(problem.rho, problem.mask.n_missing)
-
-
-def oracle_recover(problem: RecoveryProblem, grid: int = ORACLE_DEFAULT_GRID) -> RecoverySolution:
-    """Brute-force quadratic minimization over frequency-sampled band-limited sequences.
-
-    Parameters
-    ----------
-    problem : RecoveryProblem
-        Same inputs as `recover`; window half-width at most 64.
-    grid : int
-        Number of frequency samples on [0, omega]; at least 4x the window
-        size.  Accuracy improves as O(1/grid^2); check
-        `oracle_grid_sensitivity` before trusting a new configuration.
-
-    Returns
-    -------
-    RecoverySolution with values only (no operator/solver diagnostics --
-    this code path must not touch those modules).
-    """
-    window, rho = _oracle_inputs(problem, grid)
-    (w,) = problem.omega.axes
-
-    missing = np.array(problem.mask.missing, dtype=np.int64)
-    ts = window.lo + np.arange(window.checked_size())
-    observed_sel = ~np.isin(ts, missing)
-    obs_t = ts[observed_sel]
-    obs_x = problem.series.values[observed_sel]
-
-    # Trapezoid rule on [0, w]; q is the diagonal of the Parseval form for
-    # both the cosine and the sine coefficient blocks.
-    omega_grid = np.linspace(0.0, w, int(grid))
-    weights = np.full(int(grid), omega_grid[1] - omega_grid[0])
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    q = weights / np.pi
-
-    # Basis rows at the missing indices: (q_j cos(omega_j t), q_j sin(omega_j t)).
-    cos_m = q[None, :] * np.cos(np.outer(missing, omega_grid))
-    sin_m = q[None, :] * np.sin(np.outer(missing, omega_grid))
-
-    # r = B_D^T x_d, accumulated one observed sample at a time to bound memory.
-    r_cos = np.zeros(int(grid))
-    r_sin = np.zeros(int(grid))
-    for t, xt in zip(obs_t, obs_x):
-        r_cos += xt * q * np.cos(omega_grid * t)
-        r_sin += xt * q * np.sin(omega_grid * t)
-
-    # Normal matrix (1+rho) Q - B_M^T B_M: diagonal minus rank-|M|; solve by
-    # the Woodbury identity through the small capacitance matrix S.
-    d0 = (1.0 + rho) * q
-    alpha_cos = r_cos / d0
-    alpha_sin = r_sin / d0
-    beta = cos_m @ alpha_cos + sin_m @ alpha_sin
-    capacitance = (
-        np.eye(len(missing))
-        - (cos_m / d0[None, :]) @ cos_m.T
-        - (sin_m / d0[None, :]) @ sin_m.T
-    )
-    if np.linalg.cond(capacitance) > ORACLE_CONDITION_LIMIT:
-        raise OracleConditioningError(
-            "oracle normal equations are too ill-conditioned at this rho/gap size; "
-            "shrink the instance or increase rho"
-        )
-    gamma = np.linalg.solve(capacitance, beta)
-    coef_cos = alpha_cos + (cos_m / d0[None, :]).T @ gamma
-    coef_sin = alpha_sin + (sin_m / d0[None, :]).T @ gamma
-
-    recovered = cos_m @ coef_cos + sin_m @ coef_sin
-    values = {t: float(v) for t, v in zip(problem.mask.missing, recovered)}
-    return RecoverySolution(values=values, operator_diagnostics=None, solve_report=None)
-
-
-def oracle_grid_sensitivity(problem: RecoveryProblem, grid: int = ORACLE_DEFAULT_GRID) -> float:
-    """Max output change under grid doubling; must be <= 1e-8 to trust the oracle."""
-    coarse = oracle_recover(problem, grid).vector()
-    fine = oracle_recover(problem, 2 * grid).vector()
-    return float(np.max(np.abs(coarse - fine)))
 
 
 # ---------------------------------------------------------------------------

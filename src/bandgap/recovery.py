@@ -11,10 +11,6 @@ returns the per-series solve, which the forecast and lab layers call once
 per series.  `RecoverySolution.diagnostics` is the one serialization of a
 solution's evidence: the `diagnostics` object of recover and forecast JSON.
 
-`recover_single_value` is the closed form for a single gap,
-
-    x_hat(s) = omega/(pi - omega) * sum_{m != s} x(m) * sinc(omega*(s - m)).
-
 Grids use the separable rectangular-band kernel, and collapse exactly to
 the 1D path when the window is a single row or column.
 """
@@ -28,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import GeometryError, ParameterError
-from .kernel import BandLimit, kernel_profile
+from .kernel import BandLimit
 from .masks import IndexWindow, ObservationMask, make_mask, observed_halfline_exists
 from .operators import (
     OperatorDiagnostics,
@@ -75,13 +71,12 @@ class RecoverySolution:
     """Recovered values keyed by missing index, plus solve evidence.
 
     `warnings` are those of the geometry: the half-line one, then the
-    operator record's.  The brute-force lab oracle returns values only
-    (diagnostics fields None).
+    operator record's.
     """
 
     values: dict
-    operator_diagnostics: OperatorDiagnostics | None
-    solve_report: SolveReport | None
+    operator_diagnostics: OperatorDiagnostics
+    solve_report: SolveReport
     warnings: tuple[str, ...] = ()
 
     def vector(self) -> np.ndarray:
@@ -152,16 +147,3 @@ def prepare(
 def recover(problem: RecoveryProblem) -> RecoverySolution:
     """Recover the missing trace on a 1D or 2D window."""
     return prepare(problem.mask, problem.omega, problem.rho)(problem.series)
-
-
-def recover_single_value(series: Series, s: int, omega: BandLimit) -> float:
-    """Closed-form recovery of one missing sample from all other window samples."""
-    if series.ndim != 1:
-        raise GeometryError("single-value recovery is a 1D operation")
-    if not series.window.contains(s):
-        raise GeometryError(f"index {s} outside window [{series.window.lo}, {series.window.hi}]")
-    (w,) = omega.axes
-    ts = np.arange(series.window.lo, series.window.hi + 1)
-    keep = ts != s
-    weighted = kernel_profile(w, s - ts[keep]) @ series.values[keep]
-    return float(np.pi / (np.pi - w) * weighted)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, ParameterError
-from .masks import MAX_WINDOW_SIZE, Index, IndexWindow, ObservationMask, as_indices
+from .masks import Index, IndexWindow, as_indices
 
 # The header of a series file, by dimensionality.
 _HEADERS = (["t", "value"], ["t1", "t2", "value"])
@@ -71,7 +71,7 @@ def read_series_csv(path) -> tuple[Series, list[Index]]:
 
     The window is the bounding box of the indices present in the file; any
     in-window index with no row is reported as absent (a gap) and its value
-    is zero in the returned series.  A window above MAX_WINDOW_SIZE entries
+    is zero in the returned series.  A window above `masks.MAX_WINDOW_SIZE` entries
     is rejected before anything of its size is allocated.
 
     The body of a regular file is parsed by one `np.loadtxt` call on its
@@ -173,17 +173,3 @@ def _from_arrays(path, coords: np.ndarray, values: np.ndarray, lines) -> tuple[S
     present[flat] = True
     absent = list(as_indices(np.argwhere(~present.reshape(window.shape)) + lo))
     return Series(window=window, values=filled.reshape(window.shape)), absent
-
-
-def write_series_csv(series: Series, path, mask: ObservationMask | None = None) -> None:
-    """Write a series; with a mask, missing entries are omitted (kept absent)."""
-    if mask is not None and mask.window != series.window:
-        raise GeometryError("mask and series windows differ")
-    keep = np.ones(series.window.shape, dtype=bool)
-    if mask is not None:
-        keep[tuple(mask.offsets.T)] = False
-    index = np.argwhere(keep) + np.asarray(series.window.lo)
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(_HEADERS[series.ndim - 1])
-        writer.writerows(t + [repr(v)] for t, v in zip(index.tolist(), series.values[keep].tolist()))

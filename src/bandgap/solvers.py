@@ -1,18 +1,14 @@
-"""Direct and iterative solvers for the recovery equation (1+rho)*y = A*y + a.
+"""The solve of the recovery equation (1+rho)*y = A*y + a, and its error bound.
 
-Each solver takes the gap operator A, rho and the right-hand side a of one
-series, and checks a; what depends on A and rho alone (factor, margin and
-the margin's warnings, `operators.diagnostics`) is memoised on the operator
-and serves every right-hand side.
+Each function takes the gap operator A and rho, and checks what else it is
+given; what depends on A and rho alone (factor, margin and the margin's
+warnings, `operators.diagnostics`) is memoised on the operator and serves
+every right-hand side.
 
 For finite missing sets the matrix (1+rho)*I - A is symmetric positive
-definite (its eigenvalues are at least 1 + rho - ||A|| > 0), so the direct
-path solves with the operator's Cholesky factor, the same factor its margin
-is read from; it is the one solve of the recovery pipeline.  The iterative path
-realizes the geometric-series expansion of the inverse:
-y_{k+1} = (A y_k + a) / (1+rho), a contraction with factor
-q = ||A||/(1+rho) < 1.  It is kept as an independent cross-check of the
-direct solve.
+definite (its eigenvalues are at least 1 + rho - ||A|| > 0), so
+`solve_direct` solves with the operator's Cholesky factor, the same factor
+its margin is read from; it is the one solve of the recovery pipeline.
 """
 
 from __future__ import annotations
@@ -22,22 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, NonConvergenceError, ParameterError, SolverError
+from .errors import GeometryError, ParameterError, SolverError
 from .operators import GapOperator, OperatorDiagnostics, cholesky, diagnostics
-
-
-@dataclass
-class SolverConfig:
-    """Stopping rule of the Neumann iteration (`solve_neumann`)."""
-
-    tol: float = 1e-12
-    max_iter: int = 10_000
-
-    def __post_init__(self):
-        if not (self.tol > 0):
-            raise ParameterError("tol must be positive")
-        if self.max_iter < 1:
-            raise ParameterError("max_iter must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,10 +28,8 @@ class SolveReport:
 
     y: np.ndarray
     residual: float
-    iterations: int
     norm_bound: float
     rho: float
-    method: str
 
 
 def _rhs(op: GapOperator, rhs: np.ndarray) -> np.ndarray:
@@ -82,56 +62,17 @@ def _residual(op: GapOperator, rho: float, a: np.ndarray, y: np.ndarray) -> floa
     return residual
 
 
-def _report(op: GapOperator, rho: float, a: np.ndarray, diag: OperatorDiagnostics, y: np.ndarray,
-            iterations: int, method: str) -> SolveReport:
-    """A solve's report: its residual and the norm bound 1/margin."""
-    return SolveReport(y=y, residual=_residual(op, rho, a, y), iterations=iterations,
-                       norm_bound=1.0 / diag.margin, rho=rho, method=method)
-
-
 def solve_direct(op: GapOperator, rho: float, rhs: np.ndarray) -> SolveReport:
     """Solve ((1+rho)I - A) y = a for the right-hand side a = `rhs` by Cholesky factorization.
 
     The factor is kept on the operator, so further right-hand sides for the
-    same operator and rho cost two blocked triangular solves each.
+    same operator and rho cost two blocked triangular solves each.  The
+    report carries the residual and the norm bound 1/margin.
     """
     diag = _solvable(op, rho)
     a = _rhs(op, rhs)
-    return _report(op, rho, a, diag, cholesky(op, rho).solve(a), 0, "direct")
-
-
-def solve_neumann(op: GapOperator, rho: float, rhs: np.ndarray,
-                  config: SolverConfig | None = None) -> SolveReport:
-    """Solve by the geometric fixed-point iteration y <- (A y + a)/(1+rho).
-
-    Stops once the successive-iterate distance certifies, through the
-    contraction factor q = ||A||/(1+rho), that the remaining error is below
-    `tol`: the threshold on ||y_{k+1} - y_k|| is tol * min(1, (1-q)/q).  A
-    plain threshold at `tol` would leave an error of up to tol*q/(1-q),
-    which is orders of magnitude above tol when ||A|| is close to 1.
-    """
-    config = config or SolverConfig()
-    diag = _solvable(op, rho)
-    a = _rhs(op, rhs)
-    q = (1.0 + rho - diag.margin) / (1.0 + rho)  # below 1, as the margin is positive
-    threshold = config.tol * min(1.0, (1.0 - q) / q) if q > 0 else config.tol
-    scale = 1.0 / (1.0 + rho)
-    y = scale * a
-    iterations = 0
-    for _ in range(config.max_iter):
-        y_next = scale * (op.matrix @ y + a)
-        step = float(np.linalg.norm(y_next - y))
-        y = y_next
-        if step <= threshold:
-            return _report(op, rho, a, diag, y, iterations, "neumann")
-        iterations += 1
-    raise NonConvergenceError(
-        f"no convergence after {config.max_iter} iterations (last step {step:.3e}, "
-        f"threshold {threshold:.3e})",
-        iterate=y,
-        residual=_residual(op, rho, a, y),
-        iterations=config.max_iter,
-    )
+    y = cholesky(op, rho).solve(a)
+    return SolveReport(y=y, residual=_residual(op, rho, a, y), norm_bound=1.0 / diag.margin, rho=rho)
 
 
 def error_bound(op: GapOperator, rho: float, eta_norm: float) -> float:

@@ -16,7 +16,6 @@ from bandgap import (
     IndexWindow,
     RecoveryProblem,
     Series,
-    SolverConfig,
     assemble_operator,
     assemble_rhs,
     diagnostics,
@@ -24,12 +23,11 @@ from bandgap import (
     eigenvalues,
     forecast,
     make_mask,
-    oracle_recover,
     recover,
     solve_direct,
-    solve_neumann,
 )
 from bandgap.kernel import kernel_profile
+from oracles import SolverConfig, oracle_recover, solve_neumann
 
 _T0 = time.perf_counter()
 

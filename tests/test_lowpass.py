@@ -9,17 +9,13 @@ missing rows and columns included.
 """
 
 import math
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import bandgap
 from bandgap import kernel
 from bandgap import (
     BandLimit,
@@ -254,13 +250,3 @@ def test_rhs_at_window_1e5_gaps_2e3_stays_small():
         expected = float(h(omega, mask.missing[k] - ts) @ masked)
         assert abs(rhs[k] - expected) <= tolerance(series.values)
 
-
-def test_import_loads_no_scipy():
-    """scipy is not a runtime dependency: `scipy.linalg` alone costs ~0.3 s of import time."""
-    src = str(Path(bandgap.__file__).resolve().parents[1])
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import bandgap, bandgap.cli; "
-        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
-    assert out.stdout.split() == []

@@ -20,10 +20,10 @@ from bandgap import (
     diagnostics,
     make_mask,
     recover,
-    recover_single_value,
 )
 from bandgap.kernel import kernel_profile
 from bandgap.recovery import HALFLINE_WARNING
+from oracles import recover_single_value
 
 
 def closed_form_independent(series, s, frac):

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import bandgap
 from bandgap import GeometryError, IndexWindow, ParameterError, Series, apply_mask, make_mask
 from bandgap import series as series_module
-from bandgap.series import _read_rows, read_series_csv, write_series_csv
+from bandgap.series import _read_rows, read_series_csv
+from oracles import write_series_csv
 
 
 def test_shape_validation():
