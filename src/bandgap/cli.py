@@ -183,8 +183,9 @@ def _spans(sizes: list[int]) -> str:
 
 def cmd_diagnose(args) -> int:
     omega = _omega_from_fraction(args.omega, args.omega2)
+    spec = args.missing or ""
     config = {
-        "missing": args.missing,
+        "missing": spec,
         "omega": args.omega,
         "omega2": args.omega2,
         "gap_sizes": args.gap_sizes,
@@ -215,7 +216,7 @@ def cmd_diagnose(args) -> int:
                                "system is singular to working precision"]
         _emit(doc, args, rows, ["gap_size", "spectral_norm", "min_eig_I_minus_A"])
         return EXIT_OK
-    missing = parse_missing_spec(args.missing)
+    missing = parse_missing_spec(spec)
     if not missing:
         raise GeometryError("empty missing set")
     coords = np.asarray(missing)
@@ -314,10 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_forecast)
 
     p = sub.add_parser("diagnose", help="gap-operator spectrum for a mask")
-    p.add_argument("--missing", default="", help="missing-set spec")
+    # One or the other.  argparse skips its conflict check for a value that is the
+    # default object, which an explicit "" would be if the default were "".
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--missing", default=None, help="missing-set spec")
+    which.add_argument("--gap-sizes", default=None, help='sweep contiguous gaps, e.g. "1..20"')
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--omega2", type=float, default=None)
-    p.add_argument("--gap-sizes", default=None, help='sweep contiguous gaps, e.g. "1..20"')
     _add_common(p)
     p.set_defaults(func=cmd_diagnose)
 

@@ -6,7 +6,8 @@ into the missing set and the observed set; everything outside the window is
 treated as observed-with-value-zero, which is how the infinite problem is
 truncated to a computable one.  The missing set is kept in a fixed
 lexicographic order, and that order defines the row/column indexing of the
-gap operator everywhere downstream.
+gap operator everywhere downstream; `make_mask` keeps it on the mask both
+as indices and as the array offsets it sorted.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import itertools
 import math
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,22 +99,17 @@ class ObservationMask:
 
     Built via :func:`make_mask`; the `missing` tuple is sorted
     lexicographically and that order is the contract for operator rows.
+    `offsets` is the read-only (m, ndim) int64 array of the same indices less
+    the window's low corner, set by `make_mask`; it takes no part in `==` or hash.
     """
 
     window: IndexWindow
     missing: tuple[Index, ...]
+    offsets: np.ndarray = field(compare=False, repr=False)
 
     @property
     def n_missing(self) -> int:
         return len(self.missing)
-
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        """Array offsets of the missing set in canonical order: a read-only (m, ndim) int64 array."""
-        offsets = np.array(self.missing, dtype=np.int64).reshape(self.n_missing, self.window.ndim)
-        offsets -= np.asarray(self.window.lo)
-        offsets.flags.writeable = False
-        return offsets
 
 
 def as_indices(coords: np.ndarray) -> tuple[Index, ...]:
@@ -148,7 +143,9 @@ def make_mask(window: IndexWindow, missing) -> ObservationMask:
     repeats = np.flatnonzero(np.all(coords[1:] == coords[:-1], axis=1))
     if repeats.size:
         raise GeometryError(f"duplicate missing index {ordered[repeats[0]]!r}")
-    return ObservationMask(window=window, missing=ordered)
+    offsets = coords - lo
+    offsets.flags.writeable = False
+    return ObservationMask(window=window, missing=ordered, offsets=offsets)
 
 
 def apply_mask(series, mask: ObservationMask):

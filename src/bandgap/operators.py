@@ -18,14 +18,14 @@ offsets read is cheaper.
 A depends on the missing set and the band alone and a(x) on each series,
 so a `GapOperator` holds A only, and the solvers take a(x) as an argument.
 A is square, finite, exactly symmetric and read-only, and any other
-matrix is a SolverError when the operator is made.  What depends on A
-alone is computed once per matrix and reused by every caller: per rho, a
-blocked Cholesky factor of S = (1+rho)I - A and the margin 1 + rho - ||A||
-= lambda_min(S), read from that factor by a short Lanczos run on S^-1
-(Parlett, *The Symmetric Eigenvalue Problem*), together with every warning
-the margin calls for (`OperatorDiagnostics`).  The full spectrum, one
-`eigvalsh`, is computed only where it is the output (`eigenvalues`), and
-is not kept.
+matrix is a SolverError when the operator is made.  What depends on A and
+rho alone is made once and kept on the operator in one entry per rho
+(`factored`): a blocked Cholesky factor of S = (1+rho)I - A, which the
+solve uses, and the record of the margin 1 + rho - ||A|| = lambda_min(S),
+read from that factor by a short Lanczos run on S^-1 (Parlett, *The
+Symmetric Eigenvalue Problem*), with every warning the margin calls for
+(`OperatorDiagnostics`).  The full spectrum, one `eigvalsh`, is computed
+only where it is the output (`eigenvalues`), and is not kept.
 """
 
 from __future__ import annotations
@@ -64,12 +64,12 @@ LANCZOS_TOL = 1e-13
 class GapOperator:
     """Gap matrix over M x M, in the mask's canonical order; a(x) is an argument of the solvers.
 
-    The matrix is checked and made read-only at construction.  Values
-    computed from it alone are memoised by :meth:`derived`.
+    The matrix is checked and made read-only at construction; `_by_rho`
+    maps each rho asked for to the (factor, margin record) pair of `factored`.
     """
 
     matrix: np.ndarray
-    _derived: dict = field(default_factory=dict, repr=False)
+    _by_rho: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         """Refuse a matrix that is not square, holds a NaN or an infinity, or is not symmetric.
@@ -94,12 +94,6 @@ class GapOperator:
     @property
     def size(self) -> int:
         return self.matrix.shape[0]
-
-    def derived(self, key, compute):
-        """`compute()`, evaluated on the first request for `key` and remembered for this matrix."""
-        if key not in self._derived:
-            self._derived[key] = compute()
-        return self._derived[key]
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,32 +226,34 @@ def diagnostics(op: GapOperator, rho: float = 0.0) -> OperatorDiagnostics:
 
     The one gate between an operator and what uses its margin: a rho that
     is not a finite nonnegative number is a ParameterError.  The margin is
-    lambda_min((1+rho)I - A), computed once per matrix and rho from the
-    operator's Cholesky factor at that rho; then ||A|| = 1 + rho - margin.
-    A factorization that fails, or a margin of at most |M| eps (1+rho), is
-    below working precision and counts as a margin of 0.  Where 1 - ||A|| =
-    margin - rho is at most that floor too, whatever rho is, ||A|| < 1 is
-    beyond working precision: `spectral_norm` is then 1.0 and
-    `min_eig_I_minus_A` 0.0, and the record carries a warning that says so
-    and whether rho keeps the system solvable.  So `spectral_norm` is never
-    above 1 and `min_eig_I_minus_A` = max(0, 1 - ||A||) never negative.  A
-    margin above 0 and below CONDITION_WARN_THRESHOLD adds an
-    ill-conditioning warning.
+    lambda_min((1+rho)I - A), read from the factor `factored` keeps for the
+    operator and rho; then ||A|| = 1 + rho - margin.  A factorization that
+    fails, or a margin of at most |M| eps (1+rho), is below working
+    precision and counts as a margin of 0.  Where 1 - ||A|| = margin - rho
+    is at most that floor too, whatever rho is, ||A|| < 1 is beyond working
+    precision: `spectral_norm` is then 1.0 and `min_eig_I_minus_A` 0.0, and
+    the record carries a warning that says so and whether rho keeps the
+    system solvable.  So `spectral_norm` is never above 1 and
+    `min_eig_I_minus_A` = max(0, 1 - ||A||) never negative.  A margin above
+    0 and below CONDITION_WARN_THRESHOLD adds an ill-conditioning warning.
     """
     if not (math.isfinite(rho) and rho >= 0):
         raise ParameterError(f"rho must be a finite nonnegative number, not {rho}")
-    return op.derived(("diagnostics", rho), lambda: _diagnostics(op, rho))
+    return factored(op, rho)[1]
 
 
-def cholesky(op: GapOperator, rho: float) -> CholeskyFactor | None:
-    """Factor of (1+rho)I - A, once per matrix and rho; None if it is not numerically definite."""
+def factored(op: GapOperator, rho: float) -> tuple[CholeskyFactor | None, OperatorDiagnostics]:
+    """The factor of (1+rho)I - A (None if it is not numerically definite) and the `diagnostics` record.
 
-    def compute():
+    Made once per matrix and rho; callers check the rho with `diagnostics` first.
+    """
+    if rho not in op._by_rho:
         system = np.negative(op.matrix)
         system.flat[::op.size + 1] += 1.0 + rho
-        return _blocked_cholesky(system)
-
-    return op.derived(("cholesky", rho), compute)
+        factor = _blocked_cholesky(system)
+        margin = 0.0 if factor is None else _lanczos_margin(factor, op.size)
+        op._by_rho[rho] = factor, _diagnostics(margin, rho, op.size)
+    return op._by_rho[rho]
 
 
 def _blocked_cholesky(system: np.ndarray) -> CholeskyFactor | None:
@@ -309,10 +305,9 @@ def _lanczos_margin(factor: CholeskyFactor, m: int) -> float:
         tri[k, k + 1] = tri[k + 1, k] = beta
 
 
-def _diagnostics(op: GapOperator, rho: float) -> OperatorDiagnostics:
-    factor = cholesky(op, rho)
-    margin = 0.0 if factor is None else _lanczos_margin(factor, op.size)
-    floor = op.size * np.finfo(np.float64).eps * (1.0 + rho)
+def _diagnostics(margin: float, rho: float, size: int) -> OperatorDiagnostics:
+    """The `diagnostics` record of a margin 1 + rho - ||A|| (0 if the factor failed), |M| = `size`."""
+    floor = size * np.finfo(np.float64).eps * (1.0 + rho)
     if margin <= floor:
         margin = 0.0
     spectral_norm, warnings = 1.0 + rho - margin, ()
@@ -329,6 +324,6 @@ def _diagnostics(op: GapOperator, rho: float) -> OperatorDiagnostics:
         margin=margin,
         spectral_norm=spectral_norm,
         min_eig_I_minus_A=max(0.0, 1.0 - spectral_norm),
-        size=op.size,
+        size=size,
         warnings=warnings,
     )

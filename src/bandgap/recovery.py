@@ -80,7 +80,7 @@ class RecoverySolution:
     warnings: tuple[str, ...] = ()
 
     def vector(self) -> np.ndarray:
-        return np.array(list(self.values.values()), dtype=np.float64)
+        return self.solve_report.y.copy()
 
     def diagnostics(self) -> dict:
         """The operator record's fields, then the solve report's, in field order; the CLI's `diagnostics`.

@@ -1,9 +1,9 @@
 """The solve of the recovery equation (1+rho)*y = A*y + a, and its error bound.
 
 Each function takes the gap operator A and rho, and checks what else it is
-given; what depends on A and rho alone (factor, margin and the margin's
-warnings, `operators.diagnostics`) is memoised on the operator and serves
-every right-hand side.
+given; what depends on A and rho alone (the factor and the record of its
+margin, `operators.factored`) is kept on the operator in one entry per rho
+and serves every right-hand side.
 
 For finite missing sets the matrix (1+rho)*I - A is symmetric positive
 definite (its eigenvalues are at least 1 + rho - ||A|| > 0), so
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, ParameterError, SolverError
-from .operators import GapOperator, OperatorDiagnostics, cholesky, diagnostics
+from .operators import GapOperator, OperatorDiagnostics, diagnostics, factored
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +71,7 @@ def solve_direct(op: GapOperator, rho: float, rhs: np.ndarray) -> SolveReport:
     """
     diag = _solvable(op, rho)
     a = _rhs(op, rhs)
-    y = cholesky(op, rho).solve(a)
+    y = factored(op, rho)[0].solve(a)
     return SolveReport(y=y, residual=_residual(op, rho, a, y), norm_bound=1.0 / diag.margin, rho=rho)
 
 

@@ -440,6 +440,15 @@ class TestDiagnoseCommand:
     def test_empty_missing_without_sweep(self):
         assert run(["diagnose", "--omega", "0.25"]) == 3
 
+    @pytest.mark.parametrize("missing", [["--missing", "1..3"], ["--missing="], ["--missing", ""]])
+    def test_missing_with_sweep_is_parameter_error(self, missing, capsys):
+        # an explicit "" is given too, though it equals the empty spec
+        for argv in (missing + ["--gap-sizes", "1..3"], ["--gap-sizes", "1..3"] + missing):
+            assert run(["diagnose", *argv, "--omega", "0.5"]) == 2
+            (line,) = capsys.readouterr().err.splitlines()
+            error = json.loads(line)["error"]
+            assert error["category"] == "parameter" and "not allowed with" in error["message"]
+
     def test_sweep_flags_the_gap_sizes_below_working_precision(self, tmp_path):
         # sizes 18..20 are ill-conditioned, and their records say so, but they are not flagged
         out = tmp_path / "sweep.json"

@@ -157,6 +157,8 @@ class TestArrayMask:
         assert mask.offsets.dtype == np.int64 and np.array_equal(mask.offsets, expected[1])
         assert not mask.offsets.flags.writeable
         assert observed_halfline_exists(mask) == reference_halfline(mask)
+        again = make_mask(window, mask.missing[::-1])  # the same set: equal and hashed alike
+        assert again == mask and hash(again) == hash(mask)
 
     def test_array_input_and_truncation(self):
         w = IndexWindow((0, 0), (3, 3))

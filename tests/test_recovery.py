@@ -185,6 +185,9 @@ class TestRecover:
             return
         assert list(want.values.keys()) == sorted(listed)
         assert list(got.values.items()) == list(want.values.items())
+        vector = got.vector()  # the solve's vector, copied, in the same order as the values
+        assert np.array_equal(vector, got.solve_report.y) and vector is not got.solve_report.y
+        assert vector.tolist() == list(got.values.values())
 
 
 class TestRecover2D:

@@ -123,9 +123,13 @@ class TestSpectrumCount:
         second = solve_direct(op, 0.0, 2.0 * rhs)
         bound = error_bound(op, 0.0, 1.0)
         assert counts == {"eigvalsh": 0, "factor": 1}
+        factor = operators.factored(op, 0.0)[0]
         solve_neumann(op, 0.1, rhs)
         solve_neumann(op, 0.1, 2.0 * rhs)
         assert counts == {"eigvalsh": 0, "factor": 2}  # one factor per rho
+        assert operators.factored(op, 0.0)[0] is factor  # the rho = 0 entry outlives the new one
+        solve_direct(op, 0.1, rhs)
+        assert counts == {"eigvalsh": 0, "factor": 2}  # a repeated rho factors nothing
         assert bound == 1.0 / margin
         assert np.array_equal(first.y, fresh_solve(problem))
         assert np.array_equal(second.y, 2.0 * first.y)
@@ -303,7 +307,7 @@ class TestStoredMargin:
                      lambda: error_bound(op, 0.0, value), lambda: recover(random_problem(1, rho=value))):
             with pytest.raises(ParameterError, match="finite nonnegative"):
                 call()
-        assert not any(isinstance(key, tuple) and key[1] != 0.0 for key in op._derived)
+        assert all(key == 0.0 for key in op._by_rho)  # no refused rho became a key
 
     def test_non_finite_entry_above_the_diagonal_is_refused(self):
         # the factor reads only the lower triangle, so without the check the margin is 0.9
