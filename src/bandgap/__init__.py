@@ -43,7 +43,6 @@ from .operators import (
 from .recovery import (
     RecoveryProblem,
     RecoverySolution,
-    default_rho,
     recover,
 )
 from .series import Series, read_series_csv

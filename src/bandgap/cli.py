@@ -191,8 +191,10 @@ def cmd_diagnose(args) -> int:
         "gap_sizes": args.gap_sizes,
     }
     doc = _base_doc("diagnose", config)
-    if args.gap_sizes:
+    if args.gap_sizes is not None:
         ranges = list(spec_ranges(args.gap_sizes))  # unexpanded, so the cap is checked first
+        if not ranges:
+            raise ParameterError("--gap-sizes lists no gap sizes")
         if any(len(axes) != 1 or axes[0].start < 1 for axes in ranges):
             raise ParameterError("--gap-sizes must be positive integers")
         if any(axes[0][-1] > MAX_MISSING for axes in ranges):

@@ -86,12 +86,6 @@ class IndexWindow:
             raise GeometryError(f"window of shape {self.shape} exceeds {MAX_WINDOW_SIZE} samples")
         return self.size
 
-    def contains(self, t: Index) -> bool:
-        t_axes = t if isinstance(t, tuple) else (t,)
-        if len(t_axes) != self.ndim:
-            return False
-        return all(a <= v <= b for v, a, b in zip(t_axes, self._lo_axes(), self._hi_axes()))
-
 
 @dataclass(frozen=True)
 class ObservationMask:

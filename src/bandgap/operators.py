@@ -18,14 +18,14 @@ offsets read is cheaper.
 A depends on the missing set and the band alone and a(x) on each series,
 so a `GapOperator` holds A only, and the solvers take a(x) as an argument.
 A is square, finite, exactly symmetric and read-only, and any other
-matrix is a SolverError when the operator is made.  What depends on A and
-rho alone is made once and kept on the operator in one entry per rho
-(`factored`): a blocked Cholesky factor of S = (1+rho)I - A, which the
-solve uses, and the record of the margin 1 + rho - ||A|| = lambda_min(S),
-read from that factor by a short Lanczos run on S^-1 (Parlett, *The
-Symmetric Eigenvalue Problem*), with every warning the margin calls for
-(`OperatorDiagnostics`).  The full spectrum, one `eigvalsh`, is computed
-only where it is the output (`eigenvalues`), and is not kept.
+matrix is a SolverError when the operator is made.  The operator holds one
+blocked Cholesky factor of S = (1+rho)I - A, at the rho last asked for
+(`factored`), and one margin 1 - ||A|| = lambda_min(I - A), read from its
+rho = 0 factor by a short Lanczos run (Parlett, *The Symmetric Eigenvalue
+Problem*).  A shift moves every eigenvalue alike, so at any rho the margin
+1 + rho - ||A|| = lambda_min(S) is rho plus that one; its record, with every
+warning it calls for (`OperatorDiagnostics`), is kept per rho.  The full
+spectrum, one `eigvalsh`, is only computed where it is the output.
 """
 
 from __future__ import annotations
@@ -64,12 +64,13 @@ LANCZOS_TOL = 1e-13
 class GapOperator:
     """Gap matrix over M x M, in the mask's canonical order; a(x) is an argument of the solvers.
 
-    The matrix is checked and made read-only at construction; `_by_rho`
-    maps each rho asked for to the (factor, margin record) pair of `factored`.
+    The matrix is checked and made read-only at construction; `_by_rho` maps
+    each rho asked for to its margin record, `_held` one rho to its factor.
     """
 
     matrix: np.ndarray
     _by_rho: dict = field(default_factory=dict, repr=False)
+    _held: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         """Refuse a matrix that is not square, holds a NaN or an infinity, or is not symmetric.
@@ -226,34 +227,44 @@ def diagnostics(op: GapOperator, rho: float = 0.0) -> OperatorDiagnostics:
 
     The one gate between an operator and what uses its margin: a rho that
     is not a finite nonnegative number is a ParameterError.  The margin is
-    lambda_min((1+rho)I - A), read from the factor `factored` keeps for the
-    operator and rho; then ||A|| = 1 + rho - margin.  A factorization that
-    fails, or a margin of at most |M| eps (1+rho), is below working
-    precision and counts as a margin of 0.  Where 1 - ||A|| = margin - rho
-    is at most that floor too, whatever rho is, ||A|| < 1 is beyond working
-    precision: `spectral_norm` is then 1.0 and `min_eig_I_minus_A` 0.0, and
-    the record carries a warning that says so and whether rho keeps the
-    system solvable.  So `spectral_norm` is never above 1 and
-    `min_eig_I_minus_A` = max(0, 1 - ||A||) never negative.  A margin above
-    0 and below CONDITION_WARN_THRESHOLD adds an ill-conditioning warning.
+    rho + lambda_min(I - A), the latter read once per operator (`factored`),
+    and ||A|| = 1 + rho - margin.  A failed factorization, or a margin of at
+    most |M| eps (1+rho), is below working precision: a margin of 0.  Where
+    1 - ||A|| = margin - rho is at most that floor too, whatever rho is,
+    ||A|| < 1 is beyond working precision: `spectral_norm` is then 1.0 and
+    `min_eig_I_minus_A` 0.0, with a warning that says so and whether rho
+    keeps the system solvable.  So `spectral_norm` is never above 1 and
+    `min_eig_I_minus_A` never negative.  A margin above 0 and below
+    CONDITION_WARN_THRESHOLD adds an ill-conditioning warning.
     """
     if not (math.isfinite(rho) and rho >= 0):
         raise ParameterError(f"rho must be a finite nonnegative number, not {rho}")
-    return factored(op, rho)[1]
+    return op._by_rho[rho] if rho in op._by_rho else factored(op, rho)[1]
 
 
 def factored(op: GapOperator, rho: float) -> tuple[CholeskyFactor | None, OperatorDiagnostics]:
     """The factor of (1+rho)I - A (None if it is not numerically definite) and the `diagnostics` record.
 
-    Made once per matrix and rho; callers check the rho with `diagnostics` first.
+    The one Lanczos run per operator reads 1 - ||A|| from its rho = 0
+    factor.  A rho's record is made with its factor, and a factor that fails
+    counts as a margin of 0.  Callers check the rho with `diagnostics` first.
     """
-    if rho not in op._by_rho:
+    if 0.0 not in op._by_rho:  # only `_held` keeps this factor, so the next rho's releases it
+        op._by_rho[0.0] = _diagnostics(_lanczos_margin(_held_factor(op, 0.0), op.size), 0.0, op.size)
+    factor = _held_factor(op, rho)
+    if rho not in op._by_rho:  # lambda_min((1+rho)I - A) = rho + lambda_min(I - A)
+        op._by_rho[rho] = _diagnostics(0.0 if factor is None else op._by_rho[0.0].margin + rho, rho, op.size)
+    return factor, op._by_rho[rho]
+
+
+def _held_factor(op: GapOperator, rho: float) -> CholeskyFactor | None:
+    """The factor of (1+rho)I - A; the operator holds one, released before another rho's is made."""
+    if rho not in op._held:
+        op._held.clear()
         system = np.negative(op.matrix)
         system.flat[::op.size + 1] += 1.0 + rho
-        factor = _blocked_cholesky(system)
-        margin = 0.0 if factor is None else _lanczos_margin(factor, op.size)
-        op._by_rho[rho] = factor, _diagnostics(margin, rho, op.size)
-    return op._by_rho[rho]
+        op._held[rho] = _blocked_cholesky(system)
+    return op._held[rho]
 
 
 def _blocked_cholesky(system: np.ndarray) -> CholeskyFactor | None:
@@ -273,8 +284,8 @@ def _blocked_cholesky(system: np.ndarray) -> CholeskyFactor | None:
     return CholeskyFactor(lower=system, inverses=tuple(inverses))
 
 
-def _lanczos_margin(factor: CholeskyFactor, m: int) -> float:
-    """lambda_min of the factored matrix S, as 1/theta_max of a Lanczos run on S^-1.
+def _lanczos_margin(factor: CholeskyFactor | None, m: int) -> float:
+    """lambda_min of the factored matrix S, as 1/theta_max of a Lanczos run on S^-1; 0 without a factor.
 
     The basis is reorthogonalised in full, twice per step, from a start
     vector with a fixed seed, so the result is deterministic.  The basis and
@@ -283,6 +294,8 @@ def _lanczos_margin(factor: CholeskyFactor, m: int) -> float:
     top Ritz pair's residual beta_k |s_k| is at most LANCZOS_TOL times its
     Ritz value theta_max, or after m steps, when T is all of S^-1.
     """
+    if factor is None:
+        return 0.0
     start = np.random.default_rng(0).standard_normal(m)
     basis = np.empty((min(m, 32), m))
     tri = np.zeros((len(basis), len(basis)))

@@ -8,8 +8,10 @@ band-limited approximation on the observed set is never materialized.
 The operator, its factorization, its margin and every warning depend on
 the mask, the band limit and rho alone: `prepare` builds them once and
 returns the per-series solve, which the forecast and lab layers call once
-per series.  `RecoverySolution.diagnostics` is the one serialization of a
-solution's evidence: the `diagnostics` object of recover and forecast JSON.
+per series.  rho only keeps the system solvable: by default it is 0, or
+CONDITION_WARN_THRESHOLD where the margin 1 - ||A|| is below it.
+`RecoverySolution.diagnostics` is the one serialization of a solution's
+evidence: the `diagnostics` object of recover and forecast JSON.
 
 Grids use the separable rectangular-band kernel, and collapse exactly to
 the 1D path when the window is a single row or column.
@@ -17,16 +19,16 @@ the 1D path when the window is a single row or column.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import GeometryError, ParameterError
+from .errors import GeometryError
 from .kernel import BandLimit
 from .masks import IndexWindow, ObservationMask, make_mask, observed_halfline_exists
 from .operators import (
+    CONDITION_WARN_THRESHOLD,
     OperatorDiagnostics,
     assemble_operator,
     assemble_rhs,
@@ -36,11 +38,6 @@ from .operators import (
 from .series import Series
 from .solvers import SolveReport, solve_direct
 
-# A tiny ridge buys stability once the gap set is large enough for the
-# smallest eigenvalue of I - A to become tiny; small gaps are left exact.
-SMALL_GAP_LIMIT = 32
-DEFAULT_RHO_LARGE = 1e-4
-
 HALFLINE_WARNING = (
     "observed set contains no half-line: missing samples touch every side of "
     "the window, so uniqueness of the underlying band-limited extension is "
@@ -48,16 +45,13 @@ HALFLINE_WARNING = (
 )
 
 
-def default_rho(n_missing: int) -> float:
-    return 0.0 if n_missing <= SMALL_GAP_LIMIT else DEFAULT_RHO_LARGE
-
-
 @dataclass
 class RecoveryProblem:
     """Inputs of one recovery: observed series, mask, band limit, ridge weight.
 
-    `rho=None` selects the default policy (0 for small gap sets, a tiny
-    ridge for large ones).  Missing entries of the series are ignored.
+    `rho=None` selects the default: 0 while 1 - ||A|| is at least
+    `operators.CONDITION_WARN_THRESHOLD`, and that threshold otherwise.
+    Missing entries of the series are ignored.
     """
 
     series: Series
@@ -70,8 +64,8 @@ class RecoveryProblem:
 class RecoverySolution:
     """Recovered values keyed by missing index, plus solve evidence.
 
-    `warnings` are those of the geometry: the half-line one, then the
-    operator record's.
+    `warnings` are those of the geometry: the half-line one, the one of a
+    raised default rho, then the operator record's.
     """
 
     values: dict
@@ -92,14 +86,6 @@ class RecoverySolution:
                 for f in fields(record) if f.name not in ("margin", "warnings", "y")}
 
 
-def resolve_rho(rho: float | None, n_missing: int) -> float:
-    """`rho`, or the default policy's for `n_missing` samples; anything but a finite nonnegative number is refused."""
-    rho = default_rho(n_missing) if rho is None else rho
-    if not (math.isfinite(rho) and rho >= 0):
-        raise ParameterError(f"rho must be a finite nonnegative number, not {rho}")
-    return float(rho)
-
-
 def prepare(
     mask: ObservationMask, omega: BandLimit, rho: float | None = None
 ) -> Callable[[Series], RecoverySolution]:
@@ -108,16 +94,16 @@ def prepare(
     Returns `solve(series)`, the recovery of one series on the mask's
     window: each call costs one right-hand side and one solve, so any
     number of series share what depends on the mask, the band limit and rho
-    alone, warnings included.  `rho=None` selects the default policy.  A 2D
-    window that is a single row or column carries no resolvable structure
-    along the degenerate axis, so it is solved on the 1D pipeline of the
-    other axis; keeping the tensor kernel instead would silently rescale
-    everything by the degenerate axis' omega/pi.
+    alone, warnings included.  `rho=None` keeps rho = 0 while the margin
+    1 - ||A|| is at least CONDITION_WARN_THRESHOLD, and solves at that
+    threshold, with a warning that says so, below.  A 2D window that is a
+    single row or column carries no resolvable structure along the
+    degenerate axis, so it is solved on the 1D pipeline of the other axis;
+    keeping the tensor kernel instead would silently rescale everything by
+    the degenerate axis' omega/pi.
     """
     window, missing = mask.window, mask.missing
     check_dims(mask, omega)
-    rho = resolve_rho(rho, mask.n_missing)
-
     collapse = window.ndim == 2 and window.size > 1 and 1 in window.shape
     if collapse:  # the canonical orders of the 2D and the collapsed mask agree
         keep = 1 - window.shape.index(1)
@@ -125,8 +111,14 @@ def prepare(
         mask = make_mask(sub_window, mask.offsets[:, keep] + sub_window.lo)
         omega = BandLimit(omega.axes[keep])
     op = assemble_operator(mask, omega)
-    diag = diagnostics(op, rho)
-    warnings = (() if observed_halfline_exists(mask) else (HALFLINE_WARNING,)) + diag.warnings
+    raised, diag = (), diagnostics(op, 0.0 if rho is None else rho)
+    if rho is None:
+        rho = 0.0 if diag.margin >= CONDITION_WARN_THRESHOLD else CONDITION_WARN_THRESHOLD
+        if rho:
+            raised = (f"rho raised from 0 to {rho:g}: at rho = 0, 1 - ||A|| = {diag.margin:.1e} is below "
+                      f"{CONDITION_WARN_THRESHOLD:.1e}",)
+            diag = diagnostics(op, rho)
+    warnings = (() if observed_halfline_exists(mask) else (HALFLINE_WARNING,)) + raised + diag.warnings
 
     def solve(series: Series) -> RecoverySolution:
         if series.window != window:

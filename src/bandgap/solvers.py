@@ -2,8 +2,8 @@
 
 Each function takes the gap operator A and rho, and checks what else it is
 given; what depends on A and rho alone (the factor and the record of its
-margin, `operators.factored`) is kept on the operator in one entry per rho
-and serves every right-hand side.
+margin, `operators.factored`) is kept on the operator and serves every
+right-hand side.
 
 For finite missing sets the matrix (1+rho)*I - A is symmetric positive
 definite (its eigenvalues are at least 1 + rho - ||A|| > 0), so

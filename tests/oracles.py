@@ -29,13 +29,14 @@ the solve goes through the Woodbury identity, which keeps very fine grids
 affordable; grids this fine are what the refinement gate (output change
 <= 1e-8 under grid doubling) requires.  Nothing from `bandgap.operators`
 or `bandgap.solvers` is used on this path (`tests/test_lab.py` checks
-this); rho is resolved by the pipeline's own `resolve_rho`, default
-policy included.
+this).  So the oracle takes rho as given: the pipeline's default rho is
+read from the operator's margin, which this path does not compute.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,7 @@ from bandgap.errors import GeometryError, ParameterError, SolverError
 from bandgap.kernel import BandLimit, kernel_profile
 from bandgap.masks import ObservationMask
 from bandgap.operators import GapOperator
-from bandgap.recovery import RecoveryProblem, resolve_rho
+from bandgap.recovery import RecoveryProblem
 from bandgap.series import _HEADERS, Series
 
 ORACLE_MAX_HALF_WIDTH = 64
@@ -102,7 +103,12 @@ def _oracle_inputs(problem: RecoveryProblem, grid: int):
         )
     if problem.series.window != window:
         raise GeometryError("series and mask are defined on different windows")
-    return window, resolve_rho(problem.rho, problem.mask.n_missing)
+    rho = problem.rho
+    if rho is None:
+        raise ParameterError("the oracle needs an explicit rho; the default is read from the gap operator")
+    if not (math.isfinite(rho) and rho >= 0):
+        raise ParameterError(f"rho must be a finite nonnegative number, not {rho}")
+    return window, float(rho)
 
 
 def oracle_recover(problem: RecoveryProblem, grid: int = ORACLE_DEFAULT_GRID) -> OracleSolution:
@@ -251,7 +257,7 @@ def recover_single_value(series: Series, s: int, omega: BandLimit) -> float:
     """
     if series.ndim != 1:
         raise GeometryError("single-value recovery is a 1D operation")
-    if not series.window.contains(s):
+    if not series.window.lo <= s <= series.window.hi:
         raise GeometryError(f"index {s} outside window [{series.window.lo}, {series.window.hi}]")
     (w,) = omega.axes
     ts = np.arange(series.window.lo, series.window.hi + 1)

@@ -492,8 +492,11 @@ class TestDiagnoseCommand:
             assert "warnings" not in json.loads(out.read_text())
 
     def test_gap_size_zero_is_parameter_error(self, capsys):
-        code, error, _ = run_refused(["diagnose", "--omega", "0.5", "--gap-sizes", "0"], capsys)
-        assert code == 2 and error["message"] == "--gap-sizes must be positive integers"
+        for sizes, message in ((["--gap-sizes", "0"], "--gap-sizes must be positive integers"),
+                               (["--gap-sizes="], "--gap-sizes lists no gap sizes"),  # not "no --missing"
+                               (["--gap-sizes", " , "], "--gap-sizes lists no gap sizes")):  # not an empty sweep
+            code, error, _ = run_refused(["diagnose", "--omega", "0.5", *sizes], capsys)
+            assert code == 2 and error["message"] == message
 
 
 class TestNormBelowWorkingPrecision:

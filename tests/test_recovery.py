@@ -16,12 +16,12 @@ from bandgap import (
     ParameterError,
     Series,
     assemble_operator,
-    default_rho,
     diagnostics,
     make_mask,
     recover,
 )
 from bandgap.kernel import kernel_profile
+from bandgap.operators import CONDITION_WARN_THRESHOLD
 from bandgap.recovery import HALFLINE_WARNING
 from oracles import recover_single_value
 
@@ -151,18 +151,25 @@ class TestRecover:
         assert HALFLINE_WARNING not in sol2.warnings
 
     def test_default_rho_policy(self):
-        assert default_rho(1) == 0.0
-        assert default_rho(32) == 0.0
-        assert default_rho(33) == 1e-4
-        w = IndexWindow(-100, 100)
-        rng = np.random.default_rng(0)
-        s = Series(window=w, values=rng.standard_normal(201))
-        small = recover(RecoveryProblem(series=s, mask=make_mask(w, range(0, 5)),
-                                        omega=BandLimit.from_pi_fraction(0.25)))
-        assert small.solve_report.rho == 0.0
-        large = recover(RecoveryProblem(series=s, mask=make_mask(w, range(-20, 20)),
-                                        omega=BandLimit.from_pi_fraction(0.25)))
-        assert large.solve_report.rho == 1e-4
+        """rho stays 0 while 1 - ||A|| is at least the threshold, and is raised to it, with a warning, below."""
+        w = IndexWindow(-200, 200)
+        s = Series(window=w, values=np.random.default_rng(0).standard_normal(401))
+
+        def solved(missing, frac):
+            mask, omega = make_mask(w, missing), BandLimit.from_pi_fraction(frac)
+            return diagnostics(assemble_operator(mask, omega)).margin, recover(
+                RecoveryProblem(series=s, mask=mask, omega=omega))
+
+        margin, kept = solved(range(1, 26), 0.25)
+        assert 3e-8 < margin < 5e-8
+        assert kept.solve_report.rho == 0.0
+        assert not any("rho raised" in warning for warning in kept.warnings)
+        for missing, margins in ((range(1, 21), (1e-14, 3e-14)), (range(1, 26), (0.0, 0.0))):
+            margin, raised = solved(missing, 0.5)  # 1.8e-14, and a factor that fails (margin 0)
+            assert margins[0] <= margin <= margins[1]
+            assert raised.solve_report.rho == CONDITION_WARN_THRESHOLD
+            assert sum(warning.startswith("rho raised from 0 to 1e-08: ") for warning in raised.warnings) == 1
+            assert not any("ill-conditioned" in warning for warning in raised.warnings)
 
     def test_empty_missing_rejected(self):
         w = IndexWindow(-5, 5)

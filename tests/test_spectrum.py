@@ -1,11 +1,13 @@
-"""One Cholesky factor per gap matrix and rho, reused by every caller.
+"""One Lanczos margin per gap matrix, and one Cholesky factor per rho, reused by every caller.
 
-`np.linalg.eigvalsh` and the blocked Cholesky factorization are wrapped in
-counters so each test can state how many decompositions a call makes: the
-recovery path takes its margin from the factor and runs no `eigvalsh`.
+`np.linalg.eigvalsh`, the blocked Cholesky factorization and the Lanczos
+margin are wrapped in counters so each test can state how many
+decompositions a call makes: the recovery path reads its margin from the
+rho = 0 factor and runs no `eigvalsh`.
 Every reused result is compared bit for bit with one computed afresh.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -43,12 +45,13 @@ from oracles import solve_neumann
 OMEGA = BandLimit.from_pi_fraction(0.25)
 EIGVALSH = np.linalg.eigvalsh
 FACTOR = operators._blocked_cholesky
+LANCZOS = operators._lanczos_margin
 
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Number of eigvalsh calls and Cholesky factorizations made since the test started."""
-    calls = {"eigvalsh": 0, "factor": 0}
+    """Number of eigvalsh calls, Cholesky factorizations and Lanczos margins made since the test started."""
+    calls = {"eigvalsh": 0, "factor": 0, "lanczos": 0}
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
@@ -58,6 +61,7 @@ def counts(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", EIGVALSH))
     monkeypatch.setattr(operators, "_blocked_cholesky", counting("factor", FACTOR))
+    monkeypatch.setattr(operators, "_lanczos_margin", counting("lanczos", LANCZOS))
     return calls
 
 
@@ -77,7 +81,7 @@ class TestSpectrumCount:
     def test_one_per_recover_1d(self, counts):
         problem = random_problem(1)
         solution = recover(problem)
-        assert counts == {"eigvalsh": 0, "factor": 1}
+        assert counts == {"eigvalsh": 0, "factor": 1, "lanczos": 1}
         assert np.array_equal(solution.vector(), fresh_solve(problem))
 
     def test_one_per_recover_2d(self, counts):
@@ -87,7 +91,7 @@ class TestSpectrumCount:
             series=Series(window=window, values=np.random.default_rng(2).standard_normal((12, 12))),
             mask=make_mask(window, missing), omega=BandLimit.from_pi_fraction((0.25, 0.4)), rho=0.0)
         solution = recover(problem)
-        assert counts == {"eigvalsh": 0, "factor": 1}
+        assert counts == {"eigvalsh": 0, "factor": 1, "lanczos": 1}
         assert np.array_equal(solution.vector(), fresh_solve(problem, problem.omega))
 
     def test_one_per_recover_on_a_single_row(self, counts):
@@ -97,13 +101,13 @@ class TestSpectrumCount:
             mask=make_mask(window, [(3, 0), (3, 1), (3, 5)]),
             omega=BandLimit.from_pi_fraction((0.5, 0.25)), rho=0.0)
         recover(problem)
-        assert counts == {"eigvalsh": 0, "factor": 1}
+        assert counts == {"eigvalsh": 0, "factor": 1, "lanczos": 1}
 
     def test_one_per_prepare_across_series(self, counts):
         problems = [random_problem(seed) for seed in (13, 14, 15)]
         solve = prepare(problems[0].mask, OMEGA, 0.0)
         solutions = [solve(problem.series) for problem in problems]
-        assert counts == {"eigvalsh": 0, "factor": 1}
+        assert counts == {"eigvalsh": 0, "factor": 1, "lanczos": 1}
         for problem, solution in zip(problems, solutions):
             assert np.array_equal(solution.vector(), fresh_solve(problem))
 
@@ -117,22 +121,36 @@ class TestSpectrumCount:
         problem = random_problem(4)
         op = assemble_operator(problem.mask, OMEGA)
         margin = diagnostics(op).margin
-        assert counts == {"eigvalsh": 0, "factor": 1}
+        assert counts == {"eigvalsh": 0, "factor": 1, "lanczos": 1}
         rhs = assemble_rhs(problem.series, problem.mask, OMEGA)
         first = solve_direct(op, 0.0, rhs)
         second = solve_direct(op, 0.0, 2.0 * rhs)
         bound = error_bound(op, 0.0, 1.0)
-        assert counts == {"eigvalsh": 0, "factor": 1}
+        assert counts == {"eigvalsh": 0, "factor": 1, "lanczos": 1}
         factor = operators.factored(op, 0.0)[0]
         solve_neumann(op, 0.1, rhs)
         solve_neumann(op, 0.1, 2.0 * rhs)
-        assert counts == {"eigvalsh": 0, "factor": 2}  # one factor per rho
-        assert operators.factored(op, 0.0)[0] is factor  # the rho = 0 entry outlives the new one
+        assert counts == {"eigvalsh": 0, "factor": 2, "lanczos": 1}  # one factor per rho
+        assert list(op._held) == [0.1] and op._held[0.1] is not factor  # the rho = 0 factor is released
+        assert op._by_rho[0.0].margin == margin  # and its record stays
         solve_direct(op, 0.1, rhs)
-        assert counts == {"eigvalsh": 0, "factor": 2}  # a repeated rho factors nothing
+        assert counts == {"eigvalsh": 0, "factor": 2, "lanczos": 1}  # a repeated rho factors nothing
         assert bound == 1.0 / margin
         assert np.array_equal(first.y, fresh_solve(problem))
         assert np.array_equal(second.y, 2.0 * first.y)
+
+    def test_one_margin_per_operator_across_rho(self, counts):
+        """The margin at rho is rho plus the one read at rho = 0; the operator holds one factor at a time."""
+        problem = random_problem(5)
+        op = assemble_operator(problem.mask, OMEGA)
+        rhs = assemble_rhs(problem.series, problem.mask, OMEGA)
+        reports = [solve_direct(op, rho, rhs) for rho in (0.0, 1e-4, 0.1)]
+        assert counts == {"eigvalsh": 0, "factor": 3, "lanczos": 1}
+        assert list(op._held) == [0.1]
+        margin = diagnostics(op).margin
+        for rho, report in zip((0.0, 1e-4, 0.1), reports):
+            assert report.norm_bound == 1.0 / diagnostics(op, rho).margin == 1.0 / (margin + rho)
+        assert counts == {"eigvalsh": 0, "factor": 3, "lanczos": 1}
 
     def test_one_per_gap_in_dummy_sensitivity(self, counts):
         rng = np.random.default_rng(6)
@@ -141,7 +159,7 @@ class TestSpectrumCount:
                    for _ in range(4)]
         gaps = [4, 8, 12]
         report = dummy_sensitivity(past, 3, dummies, gaps, OMEGA)
-        assert counts == {"eigvalsh": 0, "factor": len(gaps)}
+        assert counts == {"eigvalsh": 0, "factor": len(gaps), "lanczos": len(gaps)}
         for m, distance in zip(gaps, report.distances):
             tail = IndexWindow(m + 1, 60)
             one_by_one = [forecast(ForecastSpec(past=past, horizon=3, gap=m, omega=OMEGA,
@@ -155,7 +173,7 @@ class TestSpectrumCount:
         config = ExperimentConfig(sweep="noise", values=(0.0, 0.1), seeds=(3, 4), omega=0.25 * np.pi,
                                   synth_band=0.2 * np.pi, missing="1..5", window=60, rho=0.0)
         report = run_experiment(config)
-        assert counts == {"eigvalsh": 0, "factor": 2}
+        assert counts == {"eigvalsh": 0, "factor": 2, "lanczos": 2}
         assert len(report["rows"]) == 4
         op = assemble_operator(make_mask(IndexWindow(-60, 60), range(1, 6)), OMEGA)
         for row in report["rows"]:
@@ -164,10 +182,10 @@ class TestSpectrumCount:
     def test_one_per_cli_diagnose(self, counts, tmp_path):
         assert main(["diagnose", "--missing", "0..5", "--omega", "0.5",
                      "--output", str(tmp_path / "d.json")]) == 0
-        assert counts == {"eigvalsh": 1, "factor": 1}
+        assert counts == {"eigvalsh": 1, "factor": 1, "lanczos": 1}
         assert main(["diagnose", "--gap-sizes", "1..4", "--omega", "0.5",
                      "--output", str(tmp_path / "s.json")]) == 0
-        assert counts == {"eigvalsh": 1, "factor": 1 + 4}
+        assert counts == {"eigvalsh": 1, "factor": 1 + 4, "lanczos": 1 + 4}
 
 
 FRACTIONS = st.floats(0.05, 0.95)
@@ -206,12 +224,12 @@ class TestLanczosMargin:
         if 1.0 + rho - top > op.size * np.finfo(np.float64).eps * (1.0 + rho):
             assert abs(diag.spectral_norm - top) <= 1e-13
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 5: at rho = 0.1 the top two eigenvalues of A, 1.27e-13 apart, are a tight "
-        "cluster of S^-1 near 10 and Lanczos stops on the lower one; reading the margin at rho = 0 "
-        "spreads that cluster"))
     def test_norm_misses_a_tight_top_pair_at_positive_rho(self):
-        """A draw of the property above (about 1 in 10^4 of its operators) where ||A|| misses eigvalsh by 1.27e-13."""
+        """A draw of the property above (about 1 in 10^4 of its operators) whose top pair of A lies 1.27e-13 apart.
+
+        Read at rho = 0.1, where the pair is a tight cluster of S^-1 near 10,
+        ||A|| missed eigvalsh by 1.27e-13; read at rho = 0 it does not.
+        """
         missing = [-98, -97, -93, -88, -86, -84, -81, -80, -79, -78, -75, -68, -67, -64, -61, -54, -53, -51, -50,
                    -49, -46, -44, -30, -23, -16, -12, -4, -3, 2, 4, 6, 8, 14, 17, 18, 23, 28, 36, 37, 38, 41, 49,
                    52, 53, 56, 57, 64, 66, 71, 74, 80, 82, 83, 84, 86, 95, 100]
@@ -399,14 +417,16 @@ class TestZeroObservations:
     def test_singular_system_is_an_error_as_with_data(self):
         window = IndexWindow(-200, 200)
         zero = RecoveryProblem(series=Series.zeros(window), mask=make_mask(window, range(1, 26)),
-                               omega=BandLimit.from_pi_fraction(0.5))
+                               omega=BandLimit.from_pi_fraction(0.5), rho=0.0)
         with pytest.raises(SolverError, match="singular"):
             recover(zero)
         values = np.zeros(window.size)
         values[0] = 1.0
         with pytest.raises(SolverError, match="singular"):
             recover(RecoveryProblem(series=Series(window=window, values=values),
-                                    mask=zero.mask, omega=zero.omega))
+                                    mask=zero.mask, omega=zero.omega, rho=0.0))
+        default = recover(RecoveryProblem(series=zero.series, mask=zero.mask, omega=zero.omega))
+        assert any("below working precision" in w for w in default.warnings)
 
     def test_ill_conditioning_warns_as_with_data(self):
         window = IndexWindow(-200, 200)
@@ -422,7 +442,11 @@ class TestZeroObservations:
         path = tmp_path / "zero.csv"
         path.write_text("t,value\n" + "".join(f"{t},0\n" for t in range(-200, 201)
                                               if not 1 <= t <= 25))
-        assert main(["recover", "--input", str(path), "--missing", "1..25", "--omega", "0.5"]) == 4
+        argv = ["recover", "--input", str(path), "--missing", "1..25", "--omega", "0.5"]
+        assert main([*argv, "--rho", "0"]) == 4
+        assert main([*argv, "--output", str(tmp_path / "zero.json")]) == 0
+        warnings = json.loads((tmp_path / "zero.json").read_text())["warnings"]
+        assert any("below working precision" in w for w in warnings)
 
 
 class TestMissingSetCap:
