@@ -227,12 +227,7 @@ def cmd_diagnose(args) -> int:
     diag = diagnostics(op)
     evs = eigenvalues(op)
     spectrum = np.clip(evs, 0.0, 1.0)  # A is PSD with ||A|| < 1: what lies outside is rounding
-    doc["diagnostics"] = {
-        "spectral_norm": diag.spectral_norm,
-        "min_eig_I_minus_A": diag.min_eig_I_minus_A,
-        "size": diag.size,
-        "spectrum": spectrum.tolist(),
-    }
+    doc["diagnostics"] = {**diag.reported(), "spectrum": spectrum.tolist()}
     warnings = list(diag.warnings)
     clamped = np.count_nonzero(spectrum != evs)
     if clamped:

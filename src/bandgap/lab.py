@@ -274,7 +274,7 @@ def _value_rows(config: ExperimentConfig, value, missing: list, synth_band: Band
     for seed in config.seeds:
         spec = _trial_signal(synth_band, window, seed)
         series = gen_bandlimited(spec)
-        truth = sinc_mixture_values(synth_band, spec.centers, spec.amplitudes, np.array(mask.missing))
+        truth = series.values[tuple(mask.offsets.T)]
         clean = solve(series)
         y_clean = clean.vector()
         report, diag = clean.solve_report, clean.operator_diagnostics

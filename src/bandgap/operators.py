@@ -20,18 +20,18 @@ so a `GapOperator` holds A only, and the solvers take a(x) as an argument.
 A is square, finite, exactly symmetric and read-only, and any other
 matrix is a SolverError when the operator is made.  The operator holds one
 blocked Cholesky factor of S = (1+rho)I - A, at the rho last asked for
-(`factored`), and one margin 1 - ||A|| = lambda_min(I - A), read from its
+(`factor`), and one margin 1 - ||A|| = lambda_min(I - A), read from its
 rho = 0 factor by a short Lanczos run (Parlett, *The Symmetric Eigenvalue
 Problem*).  A shift moves every eigenvalue alike, so at any rho the margin
-1 + rho - ||A|| = lambda_min(S) is rho plus that one; its record, with every
-warning it calls for (`OperatorDiagnostics`), is kept per rho.  The full
-spectrum, one `eigvalsh`, is only computed where it is the output.
+1 + rho - ||A|| = lambda_min(S) is rho plus that one: each rho's record
+(`diagnostics`) is worked out from it, with every warning it calls for.
+The full spectrum, one `eigvalsh`, is only computed where it is the output.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -64,12 +64,12 @@ LANCZOS_TOL = 1e-13
 class GapOperator:
     """Gap matrix over M x M, in the mask's canonical order; a(x) is an argument of the solvers.
 
-    The matrix is checked and made read-only at construction; `_by_rho` maps
-    each rho asked for to its margin record, `_held` one rho to its factor.
+    The matrix is checked and made read-only at construction; `_margin`
+    holds its one margin once it is read, `_held` one rho and its factor.
     """
 
     matrix: np.ndarray
-    _by_rho: dict = field(default_factory=dict, repr=False)
+    _margin: list = field(default_factory=list, repr=False)
     _held: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -140,6 +140,10 @@ class OperatorDiagnostics:
     min_eig_I_minus_A: float
     size: int
     warnings: tuple[str, ...] = ()
+
+    def reported(self) -> dict:
+        """Every field but the margin and the warnings (listed apart), in field order, as printed."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("margin", "warnings")}
 
 
 def check_dims(mask: ObservationMask, omega: BandLimit) -> None:
@@ -222,43 +226,36 @@ def eigenvalues(op: GapOperator) -> np.ndarray:
     return np.linalg.eigvalsh(op.matrix)
 
 
+def check_rho(rho: float) -> None:
+    """A rho that is not a finite nonnegative number is a ParameterError."""
+    if not (math.isfinite(rho) and rho >= 0):
+        raise ParameterError(f"rho must be a finite nonnegative number, not {rho}")
+
+
 def diagnostics(op: GapOperator, rho: float = 0.0) -> OperatorDiagnostics:
     """The margin 1 + rho - ||A||, ||A|| and the smallest eigenvalue of I - A.
 
     The one gate between an operator and what uses its margin: a rho that
     is not a finite nonnegative number is a ParameterError.  The margin is
-    rho + lambda_min(I - A), the latter read once per operator (`factored`),
-    and ||A|| = 1 + rho - margin.  A failed factorization, or a margin of at
-    most |M| eps (1+rho), is below working precision: a margin of 0.  Where
-    1 - ||A|| = margin - rho is at most that floor too, whatever rho is,
+    rho + lambda_min(I - A), the latter read once per operator from its
+    rho = 0 factor, and ||A|| = 1 + rho - margin.  A failed rho = 0 factor,
+    or a margin of at most |M| eps (1+rho), is below working precision: a
+    margin of 0.  Where 1 - ||A|| = margin - rho is at most that floor too,
     ||A|| < 1 is beyond working precision: `spectral_norm` is then 1.0 and
     `min_eig_I_minus_A` 0.0, with a warning that says so and whether rho
-    keeps the system solvable.  So `spectral_norm` is never above 1 and
-    `min_eig_I_minus_A` never negative.  A margin above 0 and below
-    CONDITION_WARN_THRESHOLD adds an ill-conditioning warning.
+    keeps the system solvable.  A margin above 0 and below
+    CONDITION_WARN_THRESHOLD adds an ill-conditioning warning.  No factor
+    at rho is made: one that fails there is refused by the solve.
     """
-    if not (math.isfinite(rho) and rho >= 0):
-        raise ParameterError(f"rho must be a finite nonnegative number, not {rho}")
-    return op._by_rho[rho] if rho in op._by_rho else factored(op, rho)[1]
+    check_rho(rho)
+    if not op._margin:  # only `_held` keeps the rho = 0 factor, so the next rho's releases it
+        op._margin.append(_diagnostics(_lanczos_margin(factor(op, 0.0), op.size), 0.0, op.size).margin)
+    # lambda_min((1+rho)I - A) = rho + lambda_min(I - A)
+    return _diagnostics(op._margin[0] + rho, rho, op.size)
 
 
-def factored(op: GapOperator, rho: float) -> tuple[CholeskyFactor | None, OperatorDiagnostics]:
-    """The factor of (1+rho)I - A (None if it is not numerically definite) and the `diagnostics` record.
-
-    The one Lanczos run per operator reads 1 - ||A|| from its rho = 0
-    factor.  A rho's record is made with its factor, and a factor that fails
-    counts as a margin of 0.  Callers check the rho with `diagnostics` first.
-    """
-    if 0.0 not in op._by_rho:  # only `_held` keeps this factor, so the next rho's releases it
-        op._by_rho[0.0] = _diagnostics(_lanczos_margin(_held_factor(op, 0.0), op.size), 0.0, op.size)
-    factor = _held_factor(op, rho)
-    if rho not in op._by_rho:  # lambda_min((1+rho)I - A) = rho + lambda_min(I - A)
-        op._by_rho[rho] = _diagnostics(0.0 if factor is None else op._by_rho[0.0].margin + rho, rho, op.size)
-    return factor, op._by_rho[rho]
-
-
-def _held_factor(op: GapOperator, rho: float) -> CholeskyFactor | None:
-    """The factor of (1+rho)I - A; the operator holds one, released before another rho's is made."""
+def factor(op: GapOperator, rho: float) -> CholeskyFactor | None:
+    """The factor of (1+rho)I - A, or None; the operator holds one, released before another rho's is made."""
     if rho not in op._held:
         op._held.clear()
         system = np.negative(op.matrix)
@@ -319,7 +316,7 @@ def _lanczos_margin(factor: CholeskyFactor | None, m: int) -> float:
 
 
 def _diagnostics(margin: float, rho: float, size: int) -> OperatorDiagnostics:
-    """The `diagnostics` record of a margin 1 + rho - ||A|| (0 if the factor failed), |M| = `size`."""
+    """The `diagnostics` record of a margin 1 + rho - ||A||, |M| = `size`."""
     floor = size * np.finfo(np.float64).eps * (1.0 + rho)
     if margin <= floor:
         margin = 0.0

@@ -33,6 +33,7 @@ from .operators import (
     assemble_operator,
     assemble_rhs,
     check_dims,
+    check_rho,
     diagnostics,
 )
 from .series import Series
@@ -81,9 +82,9 @@ class RecoverySolution:
 
         The margin, the warnings (listed apart) and the solution vector are left out.
         """
-        return {f.name: getattr(record, f.name)
-                for record in (self.operator_diagnostics, self.solve_report)
-                for f in fields(record) if f.name not in ("margin", "warnings", "y")}
+        report = self.solve_report
+        return {**self.operator_diagnostics.reported(),
+                **{f.name: getattr(report, f.name) for f in fields(report) if f.name != "y"}}
 
 
 def prepare(
@@ -96,14 +97,15 @@ def prepare(
     number of series share what depends on the mask, the band limit and rho
     alone, warnings included.  `rho=None` keeps rho = 0 while the margin
     1 - ||A|| is at least CONDITION_WARN_THRESHOLD, and solves at that
-    threshold, with a warning that says so, below.  A 2D window that is a
-    single row or column carries no resolvable structure along the
-    degenerate axis, so it is solved on the 1D pipeline of the other axis;
-    keeping the tensor kernel instead would silently rescale everything by
-    the degenerate axis' omega/pi.
+    threshold, with a warning that says so, below; a bad rho is refused
+    before anything is built.  A 2D window that is a single row or column
+    carries no resolvable structure along the degenerate axis, so it is
+    solved on the 1D pipeline of the other axis; the tensor kernel would
+    silently rescale everything by the degenerate axis' omega/pi.
     """
     window, missing = mask.window, mask.missing
     check_dims(mask, omega)
+    check_rho(0.0 if rho is None else rho)
     collapse = window.ndim == 2 and window.size > 1 and 1 in window.shape
     if collapse:  # the canonical orders of the 2D and the collapsed mask agree
         keep = 1 - window.shape.index(1)

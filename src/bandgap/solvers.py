@@ -1,9 +1,9 @@
 """The solve of the recovery equation (1+rho)*y = A*y + a, and its error bound.
 
 Each function takes the gap operator A and rho, and checks what else it is
-given; what depends on A and rho alone (the factor and the record of its
-margin, `operators.factored`) is kept on the operator and serves every
-right-hand side.
+given; what depends on A and rho alone (the factor, `operators.factor`, and
+the margin the `operators.diagnostics` record is worked out from) is kept
+on the operator and serves every right-hand side.
 
 For finite missing sets the matrix (1+rho)*I - A is symmetric positive
 definite (its eigenvalues are at least 1 + rho - ||A|| > 0), so
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, ParameterError, SolverError
-from .operators import GapOperator, OperatorDiagnostics, diagnostics, factored
+from .operators import GapOperator, OperatorDiagnostics, diagnostics, factor
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,14 +42,15 @@ def _rhs(op: GapOperator, rhs: np.ndarray) -> np.ndarray:
     return rhs
 
 
+_SINGULAR = ("system is singular to working precision at this rho: "
+             "1 + rho - ||A|| is at most |M| eps (1 + rho)")
+
+
 def _solvable(op: GapOperator, rho: float) -> OperatorDiagnostics:
     """The operator's `diagnostics` record; one whose margin is 0 is a SolverError."""
     diag = diagnostics(op, rho)
     if diag.margin == 0.0:
-        raise SolverError(
-            "system is singular to working precision at this rho: "
-            "1 + rho - ||A|| is at most |M| eps (1 + rho)"
-        )
+        raise SolverError(_SINGULAR)
     return diag
 
 
@@ -67,11 +68,15 @@ def solve_direct(op: GapOperator, rho: float, rhs: np.ndarray) -> SolveReport:
 
     The factor is kept on the operator, so further right-hand sides for the
     same operator and rho cost two blocked triangular solves each.  The
-    report carries the residual and the norm bound 1/margin.
+    report carries the residual and the norm bound 1/margin.  A factor that
+    fails at rho is the singular SolverError, as a margin of 0 is.
     """
     diag = _solvable(op, rho)
     a = _rhs(op, rhs)
-    y = factored(op, rho)[0].solve(a)
+    held = factor(op, rho)
+    if held is None:
+        raise SolverError(_SINGULAR)
+    y = held.solve(a)
     return SolveReport(y=y, residual=_residual(op, rho, a, y), norm_bound=1.0 / diag.margin, rho=rho)
 
 

@@ -67,7 +67,7 @@ def test_oracle_uses_no_operator_or_solver_name():
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             pipeline |= {alias.asname for alias in node.names
                          if alias.asname and alias.name.split(".")[-1] in ("operators", "solvers")}
-    assert {"assemble_operator", "diagnostics", "factored", "solve_direct", "error_bound"} <= pipeline
+    assert {"assemble_operator", "diagnostics", "factor", "solve_direct", "error_bound"} <= pipeline
 
     local = _defined_names(tree)
     reached, todo = set(), list(ORACLE_FUNCTIONS)

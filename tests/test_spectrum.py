@@ -34,7 +34,7 @@ from bandgap import (
     make_mask,
     recover,
 )
-from bandgap import operators
+from bandgap import operators, recovery
 from bandgap.cli import main
 from bandgap.lab import ExperimentConfig, run_experiment
 from bandgap.operators import CONDITION_WARN_THRESHOLD, MAX_MISSING
@@ -127,12 +127,14 @@ class TestSpectrumCount:
         second = solve_direct(op, 0.0, 2.0 * rhs)
         bound = error_bound(op, 0.0, 1.0)
         assert counts == {"eigvalsh": 0, "factor": 1, "lanczos": 1}
-        factor = operators.factored(op, 0.0)[0]
+        factor = operators.factor(op, 0.0)
         solve_neumann(op, 0.1, rhs)
         solve_neumann(op, 0.1, 2.0 * rhs)
+        assert counts == {"eigvalsh": 0, "factor": 1, "lanczos": 1}  # a record at rho factors nothing
+        solve_direct(op, 0.1, rhs)
         assert counts == {"eigvalsh": 0, "factor": 2, "lanczos": 1}  # one factor per rho
         assert list(op._held) == [0.1] and op._held[0.1] is not factor  # the rho = 0 factor is released
-        assert op._by_rho[0.0].margin == margin  # and its record stays
+        assert op._margin == [margin]  # and the margin stays
         solve_direct(op, 0.1, rhs)
         assert counts == {"eigvalsh": 0, "factor": 2, "lanczos": 1}  # a repeated rho factors nothing
         assert bound == 1.0 / margin
@@ -151,6 +153,16 @@ class TestSpectrumCount:
         for rho, report in zip((0.0, 1e-4, 0.1), reports):
             assert report.norm_bound == 1.0 / diagnostics(op, rho).margin == 1.0 / (margin + rho)
         assert counts == {"eigvalsh": 0, "factor": 3, "lanczos": 1}
+
+    def test_record_at_a_new_rho_is_worked_out_from_the_margin(self, counts):
+        op = assemble_operator(random_problem(18).mask, OMEGA)
+        margin = diagnostics(op).margin
+        assert counts == {"eigvalsh": 0, "factor": 1, "lanczos": 1}
+        diag = diagnostics(op, 0.1)
+        bound = error_bound(op, 0.1, 1.0)
+        assert counts == {"eigvalsh": 0, "factor": 1, "lanczos": 1}  # no factor and no Lanczos run at 0.1
+        assert diag == operators._diagnostics(margin + 0.1, 0.1, op.size)
+        assert bound == 1.0 / diag.margin
 
     def test_one_per_gap_in_dummy_sensitivity(self, counts):
         rng = np.random.default_rng(6)
@@ -319,13 +331,31 @@ class TestStoredMargin:
             assert error_bound(op, rho, eta) == eta / diag.margin
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
-    def test_rho_or_perturbation_that_is_not_finite_and_nonnegative_is_refused(self, value):
+    def test_rho_or_perturbation_that_is_not_finite_and_nonnegative_is_refused(self, value, monkeypatch):
         op = assemble_operator(random_problem(1).mask, OMEGA)
+        assembled = []
+        monkeypatch.setattr(recovery, "assemble_operator", lambda *args: assembled.append(args))
         for call in (lambda: diagnostics(op, value), lambda: error_bound(op, value, 1.0),
                      lambda: error_bound(op, 0.0, value), lambda: recover(random_problem(1, rho=value))):
             with pytest.raises(ParameterError, match="finite nonnegative"):
                 call()
-        assert all(key == 0.0 for key in op._by_rho)  # no refused rho became a key
+        assert not op._margin and not op._held  # a refused call leaves no margin and no factor
+        assert not assembled  # recover refuses the rho before it assembles anything
+
+    def test_factor_that_fails_at_positive_rho_is_refused_by_the_solve(self, monkeypatch):
+        calls = []
+
+        def failing_second(system):
+            calls.append(None)
+            return None if len(calls) == 2 else FACTOR(system)
+
+        monkeypatch.setattr(operators, "_blocked_cholesky", failing_second)
+        problem = random_problem(19)
+        op = assemble_operator(problem.mask, OMEGA)
+        assert diagnostics(op, 0.1).margin > 0.0
+        with pytest.raises(SolverError, match="singular"):
+            solve_direct(op, 0.1, assemble_rhs(problem.series, problem.mask, OMEGA))
+        assert len(calls) == 2
 
     def test_non_finite_entry_above_the_diagonal_is_refused(self):
         # the factor reads only the lower triangle, so without the check the margin is 0.9
