@@ -42,12 +42,6 @@ EXIT_GEOMETRY = 3
 EXIT_SOLVER = 4
 
 
-def _omega_from_fraction(frac: float, frac2: float | None = None) -> BandLimit:
-    if frac2 is not None:
-        return BandLimit.from_pi_fraction((frac, frac2))
-    return BandLimit.from_pi_fraction(frac)
-
-
 def _index_doc(t) -> dict:
     if isinstance(t, tuple):
         return {"t1": int(t[0]), "t2": int(t[1])}
@@ -98,7 +92,7 @@ def cmd_recover(args) -> int:
     listed = set(missing)
     missing.extend(t for t in absent if t not in listed)
     mask = make_mask(series.window, missing)
-    omega = _omega_from_fraction(args.omega, args.omega2)
+    omega = BandLimit.from_pi_fraction(args.omega if args.omega2 is None else (args.omega, args.omega2))
     solution = recover(RecoveryProblem(series=series, mask=mask, omega=omega, rho=args.rho))
     config = {
         "input": args.input,
@@ -125,20 +119,19 @@ def cmd_forecast(args) -> int:
     past, absent = read_series_csv(args.input)
     if absent:
         raise GeometryError(f"past series has gaps at {absent[:5]}; fill or trim them first")
-    if args.dummy == "zero":
-        dummy, n = None, (60 if args.n is None else args.n)
-    else:
+    dummy = None
+    if args.dummy != "zero":
         dummy, dummy_absent = read_series_csv(args.dummy)
         if dummy_absent:
             raise GeometryError("dummy series has gaps")
-        n = args.n  # None: the dummy's last index
     result = forecast(ForecastSpec(past=past, horizon=args.horizon, gap=args.gap,
-                                   omega=_omega_from_fraction(args.omega), dummy=dummy, n=n, rho=args.rho))
+                                   omega=BandLimit.from_pi_fraction(args.omega), dummy=dummy, rho=args.rho))
+    dummy_values = np.zeros(0) if dummy is None else dummy.values  # the zero dummy has no samples
     config = {
         "input": args.input,
         "horizon": args.horizon,
         "gap": args.gap,
-        "n": args.gap + len(result.dummy),
+        "n": args.gap + len(dummy_values),  # the recovery window's last index
         "dummy": args.dummy,
         "omega": args.omega,
         "rho": result.solution.solve_report.rho,
@@ -152,7 +145,7 @@ def cmd_forecast(args) -> int:
     ]
     plot_rows = []
     for name, start, values in (("past", past.window.lo, past.values),
-                                ("dummy", args.gap + 1, result.dummy),
+                                ("dummy", args.gap + 1, dummy_values),
                                 ("forecast", 1, result.full_gap)):
         plot_rows.extend(
             {"t": t, "value": v, "series": name,
@@ -182,7 +175,7 @@ def _spans(sizes: list[int]) -> str:
 
 
 def cmd_diagnose(args) -> int:
-    omega = _omega_from_fraction(args.omega, args.omega2)
+    omega = BandLimit.from_pi_fraction(args.omega if args.omega2 is None else (args.omega, args.omega2))
     spec = args.missing or ""
     config = {
         "missing": spec,
@@ -192,7 +185,10 @@ def cmd_diagnose(args) -> int:
     }
     doc = _base_doc("diagnose", config)
     if args.gap_sizes is not None:
-        ranges = list(spec_ranges(args.gap_sizes))  # unexpanded, so the cap is checked first
+        try:
+            ranges = list(spec_ranges(args.gap_sizes))  # unexpanded, so the cap is checked first
+        except ParameterError as exc:
+            raise ParameterError(f"{exc} in --gap-sizes") from None
         if not ranges:
             raise ParameterError("--gap-sizes lists no gap sizes")
         if any(len(axes) != 1 or axes[0].start < 1 for axes in ranges):
@@ -303,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="past series CSV on {-q..0}")
     p.add_argument("--horizon", type=int, default=3, help="accepted forecast length")
     p.add_argument("--gap", type=int, default=12, help="recovered gap length m > horizon")
-    p.add_argument("--n", type=int, default=None,
-                   help="outer truncation bound (default: 60, or a dummy file's last index)")
     p.add_argument("--dummy", default="zero", help='"zero" or a CSV on {gap+1..n}')
     p.add_argument("--omega", type=float, default=0.25, help="band limit as a fraction of pi")
     p.add_argument("--rho", type=float, default=0.0)

@@ -8,11 +8,12 @@ sequence beyond the gap, and recover the gap {1..m} as an interior
 interpolation between the observed past {-q..0} and the dummy {m+1..N}.
 Only the first few recovered values are accepted as the forecast; their
 dependence on the dummy weakens as m grows, which `dummy_sensitivity`
-measures empirically.  Only the dummy changes the observed series, so the
-geometry of one gap length (mask, band limit, rho) goes through
-`recovery.prepare` once, and each dummy costs one right-hand side and one
-solve.  `forecast` returns the accepted values, the whole recovered gap,
-the dummy values it used (zeros for the zero dummy) and the solution record.
+measures empirically.  Samples outside the recovery window are observed zeros,
+so the zero dummy is no samples: its window ends at the gap.  Only the dummy
+changes the observed series, so the geometry of one gap length (mask, band
+limit, rho) goes through `recovery.prepare` once, and each dummy costs one
+right-hand side and one solve.  `forecast` returns the accepted values, the
+whole recovered gap and the solution record.
 """
 
 from __future__ import annotations
@@ -35,10 +36,9 @@ class ForecastSpec:
     past: observed samples on {-q..0} (q at least 1).
     horizon: number of accepted forecast values (m~ in the algorithm).
     gap: length m of the recovered range {1..m}; must exceed the horizon.
-    dummy: samples on {gap+1..n}; None means the zero dummy (which adds no
-        information and is the canonical default).
-    n: outer truncation bound; required when dummy is None, otherwise taken
-        from the dummy's window.
+    dummy: samples on {gap+1..n}, whose last index ends the recovery window;
+        None means the zero dummy (the canonical default), which adds no
+        information: the window then ends at the gap.
     rho: ridge weight; 0 is sound here because the gap set is finite, and a
         conditioning warning from the solver signals when a small positive
         value would help.
@@ -49,20 +49,15 @@ class ForecastSpec:
     gap: int
     omega: BandLimit
     dummy: Series | None = None
-    n: int | None = None
     rho: float = 0.0
 
 
 @dataclass(frozen=True, eq=False)
 class ForecastResult:
-    """Accepted forecast on {1..horizon}; full_gap holds all of {1..gap}.
-
-    dummy holds the values used on {gap+1..n}: zeros for the zero dummy.
-    """
+    """Accepted forecast on {1..horizon}; full_gap holds all of {1..gap}."""
 
     values: np.ndarray
     full_gap: np.ndarray
-    dummy: np.ndarray
     solution: RecoverySolution
 
 
@@ -83,21 +78,9 @@ def _check_gap(past: Series, horizon: int, gap: int, omega: BandLimit) -> None:
 def forecast(spec: ForecastSpec) -> ForecastResult:
     """Run the dummy-interpolation forecast; accepts the first `horizon` values."""
     _check_gap(spec.past, spec.horizon, spec.gap, spec.omega)
-    if spec.dummy is not None:
-        lo, hi = spec.dummy.window.lo, spec.dummy.window.hi
-        if lo != spec.gap + 1:
-            raise GeometryError(f"dummy must start at gap+1 = {spec.gap + 1}, got {lo}")
-        if spec.n is not None and spec.n != hi:
-            raise ParameterError(f"n = {spec.n} contradicts the dummy window end {hi}")
-        n = hi
-    elif spec.n is None:
-        raise ParameterError("either a dummy series or the truncation bound n is required")
-    else:
-        n = spec.n
-    if n <= spec.gap:
-        raise ParameterError(f"truncation bound n ({n}) must exceed the gap length ({spec.gap})")
-    IndexWindow(spec.past.window.lo, n).checked_size()  # the window cap, before a zero dummy of its size
-    dummy = np.zeros(n - spec.gap) if spec.dummy is None else spec.dummy.values
+    if spec.dummy is not None and spec.dummy.window.lo != spec.gap + 1:
+        raise GeometryError(f"dummy must start at gap+1 = {spec.gap + 1}, got {spec.dummy.window.lo}")
+    dummy = np.zeros(0) if spec.dummy is None else spec.dummy.values  # the zero dummy: no samples
     return _forecasts(spec.past, spec.horizon, spec.gap, spec.omega, spec.rho, [dummy])[0]
 
 
@@ -115,8 +98,7 @@ def _forecasts(past: Series, horizon: int, gap: int, omega: BandLimit, rho: floa
     for dummy in dummies:
         solution = solve(Series(window=window, values=np.concatenate([past.values, np.zeros(gap), dummy])))
         full_gap = solution.vector()
-        results.append(ForecastResult(values=full_gap[:horizon], full_gap=full_gap, dummy=dummy,
-                                      solution=solution))
+        results.append(ForecastResult(values=full_gap[:horizon], full_gap=full_gap, solution=solution))
     return results
 
 

@@ -179,13 +179,13 @@ def _parse_1d_token(token: str) -> range:
     if m:
         a, b = int(m.group(1)), int(m.group(2))
         if a > b:
-            raise ParameterError(f"descending range {token!r} in missing spec")
+            raise ParameterError(f"descending range {token!r}")
         return range(a, b + 1)
-    raise ParameterError(f"cannot parse missing-spec token {token!r}")
+    raise ParameterError(f"cannot parse token {token!r}")
 
 
 def spec_ranges(text: str) -> Iterator[list[range]]:
-    """The comma-separated tokens of a missing spec, each as its list of per-axis ranges, unexpanded."""
+    """The comma-separated tokens of an index spec as per-axis ranges, unexpanded; a parse error names no spec."""
     for token in (part.strip() for part in text.split(",")):
         if not token:
             continue
@@ -204,12 +204,15 @@ def parse_missing_spec(text: str) -> list[Index]:
     """
     out: list[Index] = []
     dims = set()
-    for axes in spec_ranges(text):
-        dims.add(len(axes))
-        if len(out) + math.prod(r.stop - r.start for r in axes) > MAX_MISSING:
-            raise GeometryError(f"missing spec lists more than the {MAX_MISSING} samples "
-                                "that can be recovered (the gap matrix is dense)")
-        out.extend(itertools.product(*axes) if len(axes) == 2 else axes[0])
+    try:
+        for axes in spec_ranges(text):  # lazily, so the cap is checked before a later token is parsed
+            dims.add(len(axes))
+            if len(out) + math.prod(r.stop - r.start for r in axes) > MAX_MISSING:
+                raise GeometryError(f"missing spec lists more than the {MAX_MISSING} samples "
+                                    "that can be recovered (the gap matrix is dense)")
+            out.extend(itertools.product(*axes) if len(axes) == 2 else axes[0])
+    except ParameterError as exc:
+        raise ParameterError(f"{exc} in missing spec") from None
     if len(dims) > 1:
         raise ParameterError(f"missing spec {text!r} mixes 1D and 2D indices")
     return out

@@ -210,8 +210,6 @@ def assemble_rhs(series: Series, mask: ObservationMask, omega: BandLimit) -> np.
     samples.
     """
     check_dims(mask, omega)
-    if series.window != mask.window:
-        raise GeometryError("series and mask are defined on different windows")
     filtered = apply_mask(series, mask).values
     picks = []
     for axis, w in enumerate(omega.axes):

@@ -229,7 +229,7 @@ def test_criterion_9_forecast_insensitivity():
     def paired_distance(m: int) -> np.ndarray:
         dummy = Series(window=IndexWindow(m + 1, n), values=full[q + 1 + m :])
         with_true = forecast(ForecastSpec(past=past, horizon=3, gap=m, omega=bl, dummy=dummy))
-        with_zero = forecast(ForecastSpec(past=past, horizon=3, gap=m, omega=bl, n=n))
+        with_zero = forecast(ForecastSpec(past=past, horizon=3, gap=m, omega=bl))
         return np.abs(with_true.full_gap - with_zero.full_gap)
 
     diff12 = paired_distance(12)

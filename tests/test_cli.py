@@ -272,7 +272,7 @@ class TestForecastCommand:
             outs.append(json.loads(out.read_text()))
         assert outs[0]["values"] == outs[1]["values"]
         assert outs[0]["config"]["omega"] == 0.25
-        assert outs[0]["config"]["n"] == 60
+        assert outs[0]["config"]["n"] == 12  # the default gap: the zero dummy ends the window there
 
     def test_diagnostics_are_those_of_recover(self, series_121, tmp_path):
         past = Series(window=IndexWindow(-60, 0), values=np.random.default_rng(57).standard_normal(61))
@@ -291,11 +291,12 @@ class TestForecastCommand:
         path = tmp_path / "past.csv"
         write_series_csv(past, path)
         out = tmp_path / "fc.json"
-        assert run(["forecast", "--input", str(path), "--n", "30", "--gap", "8",
+        assert run(["forecast", "--input", str(path), "--gap", "8",
                     "--horizon", "2", "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
+        assert doc["config"]["n"] == 8  # the zero dummy ends the recovery window at the gap
         tags = {row["series"] for row in doc["plot_data"]}
-        assert tags == {"past", "dummy", "forecast"}
+        assert tags == {"past", "forecast"}  # the zero dummy has no samples to plot
         accepted = [row for row in doc["plot_data"]
                     if row["series"] == "forecast" and row["accepted"] == 1]
         assert [row["t"] for row in accepted] == [1, 2]
@@ -303,7 +304,7 @@ class TestForecastCommand:
     def test_oversize_window_is_geometry_error(self, tmp_path, capsys):
         path = tmp_path / "past.csv"
         write_series_csv(Series.zeros(IndexWindow(-60, 0)), path)
-        code, error, peak = run_traced(["forecast", "--input", str(path), "--n", "2000000000"],
+        code, error, peak = run_traced(["forecast", "--input", str(path), "--gap", "2000000000"],
                                        capsys)
         assert code == 3 and error["category"] == "geometry"
         assert str(MAX_WINDOW_SIZE) in error["message"]
@@ -358,11 +359,10 @@ class TestForecastCommand:
         doc = json.loads(out.read_text())
         assert doc["config"]["n"] == 100
         assert [r["t"] for r in doc["plot_data"] if r["series"] == "dummy"] == list(range(13, 101))
-        assert run([*argv, "--n", "100", "--output", str(tmp_path / "same.json")]) == 0
-        assert json.loads((tmp_path / "same.json").read_text())["values"] == doc["values"]
-        assert run([*argv, "--n", "60"]) == 2
-        error = json.loads(capsys.readouterr().err)["error"]
-        assert error["category"] == "parameter" and "contradicts the dummy window end 100" in error["message"]
+        for refused in (argv, argv[:3]):  # there is no truncation bound to give, with or without a dummy
+            assert run([*refused, "--n", "100"]) == 2
+            error = json.loads(capsys.readouterr().err)["error"]
+            assert error["category"] == "parameter" and "unrecognized arguments: --n" in error["message"]
 
 
 class TestDiagnoseCommand:
@@ -494,7 +494,9 @@ class TestDiagnoseCommand:
     def test_gap_size_zero_is_parameter_error(self, capsys):
         for sizes, message in ((["--gap-sizes", "0"], "--gap-sizes must be positive integers"),
                                (["--gap-sizes="], "--gap-sizes lists no gap sizes"),  # not "no --missing"
-                               (["--gap-sizes", " , "], "--gap-sizes lists no gap sizes")):  # not an empty sweep
+                               (["--gap-sizes", " , "], "--gap-sizes lists no gap sizes"),  # not an empty sweep
+                               (["--gap-sizes", "a"], "cannot parse token 'a' in --gap-sizes"),
+                               (["--gap-sizes", "3..1"], "descending range '3..1' in --gap-sizes")):
             code, error, _ = run_refused(["diagnose", "--omega", "0.5", *sizes], capsys)
             assert code == 2 and error["message"] == message
 

@@ -135,13 +135,11 @@ def recover_inputs(draw):
 @st.composite
 def forecast_inputs(draw):
     gap = draw(st.integers(4, 30))
-    valid = {"--gap": st.just(str(gap)), "--horizon": st.integers(1, 3).map(str),
-             "--n": st.integers(gap + 1, 1000).map(str), "--omega": FRACTIONS, "--rho": RHOS, **COMMON}
+    valid = {"--gap": st.just(str(gap)), "--horizon": st.integers(1, 3).map(str), "--omega": FRACTIONS,
+             "--rho": RHOS, **COMMON}
     hostile = {"--gap": st.sampled_from(["-2", "0", "3"]), "--horizon": st.sampled_from(["0", "30"]),
-               "--n": st.sampled_from(["-5", "4", str(gap)]), "--omega": BAD_FRACTIONS,
-               "--rho": st.just("1e300"), **COMMON_HOSTILE}
+               "--omega": BAD_FRACTIONS, "--rho": st.just("1e300"), **COMMON_HOSTILE}
     if draw(st.booleans()):
-        del valid["--n"]  # the dummy file sets n
         start = draw(st.integers(-5, 40)) if one_in(draw, 8) else gap + 1
         files = {"dummy": draw(series_bytes(lo=start, hi=draw(st.integers(start, start + 150))))}
         argv = ["forecast", "--input", "{series}", "--dummy", "{dummy}"]

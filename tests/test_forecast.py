@@ -42,50 +42,52 @@ def default_geometry():
 
 def test_zero_past_zero_dummy():
     past = Series.zeros(IndexWindow(-60, 0))
-    result = forecast(ForecastSpec(past=past, horizon=3, gap=12, omega=OMEGA, n=60))
+    result = forecast(ForecastSpec(past=past, horizon=3, gap=12, omega=OMEGA))
     assert not np.any(result.values)
     assert not np.any(result.full_gap)
 
 
 def test_values_are_prefix_of_full_gap(default_geometry):
-    _, n, past, _ = default_geometry
-    result = forecast(ForecastSpec(past=past, horizon=3, gap=12, omega=OMEGA, n=n))
+    _, _, past, _ = default_geometry
+    result = forecast(ForecastSpec(past=past, horizon=3, gap=12, omega=OMEGA))
     assert result.full_gap.shape == (12,)
     assert np.array_equal(result.values, result.full_gap[:3])
-    assert np.array_equal(result.dummy, np.zeros(n - 12))  # the zero dummy on {13..n}
 
 
 def test_horizon_must_be_below_gap(default_geometry):
-    _, n, past, _ = default_geometry
+    _, _, past, _ = default_geometry
     with pytest.raises(ParameterError):
-        forecast(ForecastSpec(past=past, horizon=12, gap=12, omega=OMEGA, n=n))
+        forecast(ForecastSpec(past=past, horizon=12, gap=12, omega=OMEGA))
     with pytest.raises(ParameterError):
-        forecast(ForecastSpec(past=past, horizon=13, gap=12, omega=OMEGA, n=n))
+        forecast(ForecastSpec(past=past, horizon=13, gap=12, omega=OMEGA))
 
 
 def test_past_window_must_end_at_zero():
     past = Series.zeros(IndexWindow(-60, 1))
     with pytest.raises(GeometryError):
-        forecast(ForecastSpec(past=past, horizon=3, gap=12, omega=OMEGA, n=60))
+        forecast(ForecastSpec(past=past, horizon=3, gap=12, omega=OMEGA))
 
 
 def test_dummy_window_checked(default_geometry):
     _, n, past, full = default_geometry
     bad = Series(window=IndexWindow(14, n), values=full[-(n - 13) :])
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="dummy must start at gap"):
         forecast(ForecastSpec(past=past, horizon=3, gap=12, omega=OMEGA, dummy=bad))
-    with pytest.raises(ParameterError):
-        # n contradicts the dummy window end
-        good = Series(window=IndexWindow(13, n), values=full[73:])
-        forecast(ForecastSpec(past=past, horizon=3, gap=12, omega=OMEGA, dummy=good, n=59))
 
 
-def test_truncation_bound_required(default_geometry):
+@pytest.mark.parametrize("fraction", [0.25, 0.4])
+@pytest.mark.parametrize("n", [13, 60, 500])
+def test_zero_dummy_is_an_explicit_zero_dummy_of_any_length(default_geometry, fraction, n):
+    """Samples outside the window count as observed zeros, so zeros on {13..n} change nothing."""
     _, _, past, _ = default_geometry
-    with pytest.raises(ParameterError):
-        forecast(ForecastSpec(past=past, horizon=3, gap=12, omega=OMEGA))
-    with pytest.raises(ParameterError):
-        forecast(ForecastSpec(past=past, horizon=3, gap=12, omega=OMEGA, n=12))
+    omega = BandLimit.from_pi_fraction(fraction)
+    zero = forecast(ForecastSpec(past=past, horizon=3, gap=12, omega=omega))
+    explicit = forecast(ForecastSpec(past=past, horizon=3, gap=12, omega=omega,
+                                     dummy=Series.zeros(IndexWindow(13, n))))
+    assert zero.solution.warnings == explicit.solution.warnings
+    # the two windows sum the same products in different orders: |M| eps rounding, amplified by 1 / margin
+    tolerance = 12 * np.finfo(float).eps * explicit.solution.solve_report.norm_bound
+    assert np.max(np.abs(zero.full_gap - explicit.full_gap)) <= tolerance * np.max(np.abs(explicit.full_gap))
 
 
 def test_tracks_true_continuation(default_geometry):
@@ -93,7 +95,6 @@ def test_tracks_true_continuation(default_geometry):
     m = 12
     dummy = Series(window=IndexWindow(m + 1, n), values=full[q + 1 + m :])
     result = forecast(ForecastSpec(past=past, horizon=3, gap=m, omega=OMEGA, dummy=dummy))
-    assert result.dummy is dummy.values
     truth = full[q + 1 : q + 4]
     rel = np.max(np.abs(result.values - truth)) / np.max(np.abs(truth))
     assert rel <= 5e-2
@@ -120,7 +121,7 @@ def test_near_forecasts_less_dummy_sensitive_than_far(default_geometry):
     m = 12
     dummy_true = Series(window=IndexWindow(m + 1, n), values=full[q + 1 + m :])
     with_true = forecast(ForecastSpec(past=past, horizon=3, gap=m, omega=OMEGA, dummy=dummy_true))
-    with_zero = forecast(ForecastSpec(past=past, horizon=3, gap=m, omega=OMEGA, n=n))
+    with_zero = forecast(ForecastSpec(past=past, horizon=3, gap=m, omega=OMEGA))
     diff = np.abs(with_true.full_gap - with_zero.full_gap)
     near = np.linalg.norm(diff[:3])
     far = np.linalg.norm(diff[9:12])
@@ -183,9 +184,10 @@ FUTURE = Series(window=IndexWindow(1, HALF), values=np.broadcast_to(1.0, HALF))
     lambda: dummy_sensitivity(PAST, 3, [FUTURE, FUTURE], [4, 12], OMEGA),
     lambda: forecast(ForecastSpec(past=PAST, horizon=3, gap=12, omega=OMEGA,
                                   dummy=Series(window=IndexWindow(13, HALF), values=FUTURE.values[12:]))),
-    lambda: forecast(ForecastSpec(past=PAST, horizon=3, gap=12, omega=OMEGA, n=HALF)),
+    lambda: forecast(ForecastSpec(past=PAST, horizon=3, gap=HALF, omega=OMEGA)),
 ], ids=["dummy_sensitivity", "forecast-dummy", "forecast-zero-dummy"])
 def test_window_cap_is_checked_before_allocation(call):
+    # The zero dummy's window ends at the gap: {-HALF..HALF} is one sample over the cap.
     # The inputs are broadcast views, so the window is refused before anything of its size exists.
     tracemalloc.start()
     try:
@@ -200,4 +202,4 @@ def test_window_cap_is_checked_before_allocation(call):
 def test_a_2d_past_is_refused():
     past = Series(window=IndexWindow((-3, 0), (0, 0)), values=np.ones((4, 1)))
     with pytest.raises(GeometryError, match="^forecasting is a 1D operation$"):
-        forecast(ForecastSpec(past=past, horizon=1, gap=2, omega=BandLimit(0.5), n=10))
+        forecast(ForecastSpec(past=past, horizon=1, gap=2, omega=BandLimit(0.5)))
