@@ -19,7 +19,6 @@ from .kernel import BandLimit
 from .lab import (
     ExperimentConfig,
     NoisySeries,
-    SignalSpec,
     add_noise,
     gen_bandlimited,
     run_experiment,

@@ -310,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     # default object, which an explicit "" would be if the default were "".
     which = p.add_mutually_exclusive_group()
     which.add_argument("--missing", default=None, help="missing-set spec")
-    which.add_argument("--gap-sizes", default=None, help='sweep contiguous gaps, e.g. "1..20"')
+    which.add_argument("--gap-sizes", default=None,
+                       help='sweep contiguous gaps, e.g. "1..20"; each size factors its own '
+                            'operator, so time grows as the sum of m^3 over the sizes')
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--omega2", type=float, default=None)
     _add_common(p)

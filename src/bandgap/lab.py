@@ -37,39 +37,23 @@ RNG_ALGORITHM = "numpy.random.Generator(PCG64)"
 # signal synthesis
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SignalSpec:
-    """Recipe for a synthetic 1D sinc mixture: amplitudes times kernels shifted to centers.
+def gen_bandlimited(band: BandLimit, window: IndexWindow, centers: Sequence[int],
+                    amplitudes: Sequence[float]) -> Series:
+    """The sinc mixture sum of amplitudes times kernels shifted to centers, on `window`.
 
     `band` is the synthesis cutoff; keep it at or below the recovery cutoff
     when exact-recovery checks are intended.
     """
-
-    band: BandLimit
-    window: IndexWindow
-    centers: tuple[int, ...]
-    amplitudes: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.band.ndim != 1 or self.window.ndim != 1:
-            raise ParameterError("signal synthesis is 1D")
-        if len(self.centers) == 0 or len(self.centers) != len(self.amplitudes):
-            raise ParameterError("a sinc mixture needs matching nonempty centers/amplitudes")
-
-
-def sinc_mixture_values(band: BandLimit, centers, amplitudes, ts: np.ndarray) -> np.ndarray:
-    """Closed-form mixture sum at arbitrary integer indices."""
+    if band.ndim != 1 or window.ndim != 1:
+        raise ParameterError("signal synthesis is 1D")
+    if len(centers) == 0 or len(centers) != len(amplitudes):
+        raise ParameterError("a sinc mixture needs matching nonempty centers/amplitudes")
     (w,) = band.axes
-    out = np.zeros(len(ts), dtype=np.float64)
+    ts = window.lo + np.arange(window.checked_size())
+    values = np.zeros(len(ts), dtype=np.float64)
     for c, a in zip(centers, amplitudes):
-        out += float(a) * kernel_profile(w, np.asarray(ts) - int(c))
-    return out
-
-
-def gen_bandlimited(spec: SignalSpec) -> Series:
-    """The spec's sinc mixture on its window."""
-    ts = spec.window.lo + np.arange(spec.window.checked_size())
-    return Series(window=spec.window, values=sinc_mixture_values(spec.band, spec.centers, spec.amplitudes, ts))
+        values += float(a) * kernel_profile(w, ts - int(c))
+    return Series(window=window, values=values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,13 +236,13 @@ class ExperimentConfig:
         return doc
 
 
-def _trial_signal(band: BandLimit, window: IndexWindow, seed: int) -> SignalSpec:
+def _trial_signal(band: BandLimit, window: IndexWindow, seed: int) -> Series:
     """Seeded mixture with centers near the origin so truth is window-independent."""
     rng = np.random.default_rng(seed)
     n_pulses = int(rng.integers(2, 5))
     centers = tuple(int(c) for c in rng.integers(-20, 21, size=n_pulses))
     amplitudes = tuple(float(a) for a in rng.uniform(-1.0, 1.0, size=n_pulses))
-    return SignalSpec(band=band, window=window, centers=centers, amplitudes=amplitudes)
+    return gen_bandlimited(band, window, centers, amplitudes)
 
 
 def _value_rows(config: ExperimentConfig, value, missing: list, synth_band: BandLimit,
@@ -272,8 +256,7 @@ def _value_rows(config: ExperimentConfig, value, missing: list, synth_band: Band
     solve = prepare(mask, omega, rho)
     rows = []
     for seed in config.seeds:
-        spec = _trial_signal(synth_band, window, seed)
-        series = gen_bandlimited(spec)
+        series = _trial_signal(synth_band, window, seed)
         truth = series.values[tuple(mask.offsets.T)]
         clean = solve(series)
         y_clean = clean.vector()

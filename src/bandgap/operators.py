@@ -131,8 +131,8 @@ class CholeskyFactor:
 class OperatorDiagnostics:
     """Spectral facts of one operator at one rho; `margin` = 1 + rho - ||A|| is 0 or above |M| eps (1+rho).
 
-    `spectral_norm` is at most 1: where 1 - ||A|| is below working
-    precision it is 1.0.  `warnings` holds every verdict on the margin.
+    `spectral_norm` is at most 1 and the same at every rho: where 1 - ||A||
+    is below working precision it is 1.0.  `warnings` holds every verdict.
     """
 
     margin: float
@@ -234,22 +234,21 @@ def diagnostics(op: GapOperator, rho: float = 0.0) -> OperatorDiagnostics:
     """The margin 1 + rho - ||A||, ||A|| and the smallest eigenvalue of I - A.
 
     The one gate between an operator and what uses its margin: a rho that
-    is not a finite nonnegative number is a ParameterError.  The margin is
-    rho + lambda_min(I - A), the latter read once per operator from its
-    rho = 0 factor, and ||A|| = 1 + rho - margin.  A failed rho = 0 factor,
-    or a margin of at most |M| eps (1+rho), is below working precision: a
-    margin of 0.  Where 1 - ||A|| = margin - rho is at most that floor too,
-    ||A|| < 1 is beyond working precision: `spectral_norm` is then 1.0 and
-    `min_eig_I_minus_A` 0.0, with a warning that says so and whether rho
-    keeps the system solvable.  A margin above 0 and below
-    CONDITION_WARN_THRESHOLD adds an ill-conditioning warning.  No factor
-    at rho is made: one that fails there is refused by the solve.
+    is not a finite nonnegative number is a ParameterError.  1 - ||A|| =
+    lambda_min(I - A) is read once per operator from its rho = 0 factor; a
+    failed factor, or a value of at most |M| eps, is below working
+    precision and read as 0.  ||A|| does not depend on rho: `spectral_norm`
+    is 1 minus that value, so 1.0 where it is 0, and `min_eig_I_minus_A`
+    then 0.0, with a warning that says so and whether rho keeps the system
+    solvable.  Only the margin depends on rho: it is rho plus that value,
+    and 0 where that is at most |M| eps (1+rho).  A margin above 0 and
+    below CONDITION_WARN_THRESHOLD adds an ill-conditioning warning.  No
+    factor at rho is made: one that fails there is refused by the solve.
     """
     check_rho(rho)
     if not op._margin:  # only `_held` keeps the rho = 0 factor, so the next rho's releases it
-        op._margin.append(_diagnostics(_lanczos_margin(factor(op, 0.0), op.size), 0.0, op.size).margin)
-    # lambda_min((1+rho)I - A) = rho + lambda_min(I - A)
-    return _diagnostics(op._margin[0] + rho, rho, op.size)
+        op._margin.append(_diagnostics(_lanczos_margin(factor(op, 0.0)), 0.0, op.size).margin)
+    return _diagnostics(op._margin[0], rho, op.size)
 
 
 def factor(op: GapOperator, rho: float) -> CholeskyFactor | None:
@@ -279,7 +278,7 @@ def _blocked_cholesky(system: np.ndarray) -> CholeskyFactor | None:
     return CholeskyFactor(lower=system, inverses=tuple(inverses))
 
 
-def _lanczos_margin(factor: CholeskyFactor | None, m: int) -> float:
+def _lanczos_margin(factor: CholeskyFactor | None) -> float:
     """lambda_min of the factored matrix S, as 1/theta_max of a Lanczos run on S^-1; 0 without a factor.
 
     The basis is reorthogonalised in full, twice per step, from a start
@@ -291,6 +290,7 @@ def _lanczos_margin(factor: CholeskyFactor | None, m: int) -> float:
     """
     if factor is None:
         return 0.0
+    m = len(factor.lower)
     start = np.random.default_rng(0).standard_normal(m)
     basis = np.empty((min(m, 32), m))
     tri = np.zeros((len(basis), len(basis)))
@@ -313,17 +313,19 @@ def _lanczos_margin(factor: CholeskyFactor | None, m: int) -> float:
         tri[k, k + 1] = tri[k + 1, k] = beta
 
 
-def _diagnostics(margin: float, rho: float, size: int) -> OperatorDiagnostics:
-    """The `diagnostics` record of a margin 1 + rho - ||A||, |M| = `size`."""
-    floor = size * np.finfo(np.float64).eps * (1.0 + rho)
-    if margin <= floor:
+def _diagnostics(margin0: float, rho: float, size: int) -> OperatorDiagnostics:
+    """The `diagnostics` record at rho of 1 - ||A|| = `margin0`, |M| = `size`."""
+    floor = size * np.finfo(np.float64).eps
+    if margin0 <= floor:
+        margin0 = 0.0
+    # lambda_min((1+rho)I - A) = rho + lambda_min(I - A)
+    margin, spectral_norm, warnings = margin0 + rho, 1.0 - margin0, ()
+    if margin <= floor * (1.0 + rho):
         margin = 0.0
-    spectral_norm, warnings = 1.0 + rho - margin, ()
-    if margin - rho <= floor:
-        spectral_norm = 1.0
+    if margin0 == 0.0:
         solvable = (f"rho = {rho:g} keeps the system solvable" if margin
                     else f"at rho = {rho:g} the system is singular to working precision")
-        warnings = (f"1 - ||A|| is below working precision (|M| eps (1 + rho) = {floor:.1e}), "
+        warnings = (f"1 - ||A|| is below working precision (|M| eps = {floor:.1e}), "
                     f"so spectral_norm is reported as 1.0; {solvable}",)
     if 0.0 < margin < CONDITION_WARN_THRESHOLD:
         warnings += (f"ill-conditioned system: 1 + rho - ||A|| = {margin:.3e} below threshold "

@@ -502,7 +502,7 @@ class TestDiagnoseCommand:
 
 
 class TestNormBelowWorkingPrecision:
-    """Where 1 - ||A|| is below |M| eps (1 + rho) but rho keeps the margin, ||A|| is reported as 1.0 with a warning."""
+    """Where 1 - ||A|| is below |M| eps but rho keeps the margin, ||A|| is reported as 1.0 with a warning."""
 
     @pytest.fixture
     def ramp_401(self, tmp_path):
@@ -519,7 +519,7 @@ class TestNormBelowWorkingPrecision:
         assert diag["spectral_norm"] == 1.0 and diag["min_eig_I_minus_A"] == 0.0
         assert diag["norm_bound"] == pytest.approx(1e4, rel=1e-8)  # the margin is rho
         assert doc["warnings"] == [
-            "1 - ||A|| is below working precision (|M| eps (1 + rho) = 5.6e-15), so spectral_norm is "
+            "1 - ||A|| is below working precision (|M| eps = 5.6e-15), so spectral_norm is "
             "reported as 1.0; rho = 0.0001 keeps the system solvable"]
 
     def test_a_clear_margin_is_reported_as_before(self, ramp_401, tmp_path):

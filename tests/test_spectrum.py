@@ -161,7 +161,7 @@ class TestSpectrumCount:
         diag = diagnostics(op, 0.1)
         bound = error_bound(op, 0.1, 1.0)
         assert counts == {"eigvalsh": 0, "factor": 1, "lanczos": 1}  # no factor and no Lanczos run at 0.1
-        assert diag == operators._diagnostics(margin + 0.1, 0.1, op.size)
+        assert diag == operators._diagnostics(margin, 0.1, op.size)  # at rho = 0 the margin is 1 - ||A||
         assert bound == 1.0 / diag.margin
 
     def test_one_per_gap_in_dummy_sensitivity(self, counts):
@@ -309,11 +309,11 @@ class TestStoredMargin:
         op, rhs = assemble_operator(mask, omega), np.ones(mask.n_missing)
         diag = diagnostics(op, rho)
         floor = op.size * np.finfo(np.float64).eps * (1.0 + rho)
-        below = bool(diag.margin - rho <= floor)
+        below = op._margin[0] == 0.0
         if below:  # 1 - ||A|| below working precision: ||A|| is reported as 1
             assert (diag.spectral_norm, diag.min_eig_I_minus_A) == (1.0, 0.0)
         else:
-            assert diag.spectral_norm == 1.0 + rho - diag.margin
+            assert diag.spectral_norm == 1.0 - op._margin[0]
         # the record holds every verdict on the margin: precision first, then ill-conditioning
         ill = 0.0 < diag.margin < CONDITION_WARN_THRESHOLD
         assert [("below working precision" in w, "ill-conditioned" in w) for w in diag.warnings] == (
@@ -329,6 +329,22 @@ class TestStoredMargin:
             solution = prepare(mask, omega, rho)(Series.zeros(mask.window))
             assert solution.warnings in (diag.warnings, (HALFLINE_WARNING,) + diag.warnings)
             assert error_bound(op, rho, eta) == eta / diag.margin
+
+    @pytest.mark.parametrize("mask, omega", [
+        (make_mask(IndexWindow(-20, 20), range(1, 3)), OMEGA),
+        (make_mask(IndexWindow((0, 0), (9, 9)), [(4, 4), (4, 5), (5, 4)]), BandLimit.from_pi_fraction((0.25, 0.4))),
+    ])
+    def test_rho_moves_the_margin_only(self, mask, omega):
+        """||A|| does not depend on rho: only the margin 1 + rho - ||A|| moves, however large rho is."""
+        op = assemble_operator(mask, omega)
+        at_zero = diagnostics(op)
+        assert at_zero.margin > CONDITION_WARN_THRESHOLD and at_zero.warnings == ()
+        for rho in (0.1, 1e6, 1e16):
+            diag = diagnostics(op, rho)
+            assert (diag.spectral_norm, diag.min_eig_I_minus_A) == (at_zero.spectral_norm,
+                                                                   at_zero.min_eig_I_minus_A)
+            assert diag.warnings == ()
+            assert diag.margin == at_zero.margin + rho
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
     def test_rho_or_perturbation_that_is_not_finite_and_nonnegative_is_refused(self, value, monkeypatch):
