@@ -14,7 +14,7 @@ oracle, a Neumann-series solve, the single-gap closed form) live in
 __version__ = "0.1.0"
 
 from .errors import BandgapError, GeometryError, ParameterError, SolverError
-from .forecast import ForecastResult, ForecastSpec, SensitivityReport, dummy_sensitivity, forecast
+from .forecast import ForecastResult, SensitivityReport, dummy_sensitivity, forecast
 from .kernel import BandLimit
 from .lab import (
     ExperimentConfig,

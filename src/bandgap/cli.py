@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .errors import GeometryError, ParameterError, SolverError
-from .forecast import ForecastSpec, forecast
+from .forecast import forecast
 from .kernel import BandLimit
 from .lab import ROW_FIELDS, ExperimentConfig, run_experiment
 from .masks import MAX_MISSING, IndexWindow, make_mask, parse_missing_spec, spec_ranges
@@ -124,8 +124,7 @@ def cmd_forecast(args) -> int:
         dummy, dummy_absent = read_series_csv(args.dummy)
         if dummy_absent:
             raise GeometryError("dummy series has gaps")
-    result = forecast(ForecastSpec(past=past, horizon=args.horizon, gap=args.gap,
-                                   omega=BandLimit.from_pi_fraction(args.omega), dummy=dummy, rho=args.rho))
+    result = forecast(past, args.horizon, args.gap, BandLimit.from_pi_fraction(args.omega), dummy, args.rho)
     dummy_values = np.zeros(0) if dummy is None else dummy.values  # the zero dummy has no samples
     config = {
         "input": args.input,

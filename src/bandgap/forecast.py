@@ -12,13 +12,15 @@ measures empirically.  Samples outside the recovery window are observed zeros,
 so the zero dummy is no samples: its window ends at the gap.  Only the dummy
 changes the observed series, so the geometry of one gap length (mask, band
 limit, rho) goes through `recovery.prepare` once, and each dummy costs one
-right-hand side and one solve.  `forecast` returns the accepted values, the
-whole recovered gap and the solution record.
+right-hand side and one solve; rho is 0 by default, and `rho=None` takes
+`prepare`'s default per gap length.  `forecast` returns the accepted values,
+the whole recovered gap and the solution record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -27,29 +29,6 @@ from .kernel import BandLimit
 from .masks import IndexWindow, make_mask
 from .recovery import RecoverySolution, prepare
 from .series import Series
-
-
-@dataclass
-class ForecastSpec:
-    """Forecast inputs.
-
-    past: observed samples on {-q..0} (q at least 1).
-    horizon: number of accepted forecast values (m~ in the algorithm).
-    gap: length m of the recovered range {1..m}; must exceed the horizon.
-    dummy: samples on {gap+1..n}, whose last index ends the recovery window;
-        None means the zero dummy (the canonical default), which adds no
-        information: the window then ends at the gap.
-    rho: ridge weight; 0 is sound here because the gap set is finite, and a
-        conditioning warning from the solver signals when a small positive
-        value would help.
-    """
-
-    past: Series
-    horizon: int
-    gap: int
-    omega: BandLimit
-    dummy: Series | None = None
-    rho: float = 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,16 +54,31 @@ def _check_gap(past: Series, horizon: int, gap: int, omega: BandLimit) -> None:
         )
 
 
-def forecast(spec: ForecastSpec) -> ForecastResult:
-    """Run the dummy-interpolation forecast; accepts the first `horizon` values."""
-    _check_gap(spec.past, spec.horizon, spec.gap, spec.omega)
-    if spec.dummy is not None and spec.dummy.window.lo != spec.gap + 1:
-        raise GeometryError(f"dummy must start at gap+1 = {spec.gap + 1}, got {spec.dummy.window.lo}")
-    dummy = np.zeros(0) if spec.dummy is None else spec.dummy.values  # the zero dummy: no samples
-    return _forecasts(spec.past, spec.horizon, spec.gap, spec.omega, spec.rho, [dummy])[0]
+def forecast(past: Series, horizon: int, gap: int, omega: BandLimit, dummy: Series | None = None,
+             rho: float | None = 0.0) -> ForecastResult:
+    """Run the dummy-interpolation forecast; accepts the first `horizon` values.
+
+    past: observed samples on {-q..0} (q at least 1).
+    horizon: number of accepted forecast values (m~ in the algorithm).
+    gap: length m of the recovered range {1..m}; must exceed the horizon.
+    dummy: samples on {gap+1..n}, whose last index ends the recovery window;
+        None means the zero dummy (the canonical default), which adds no
+        information: the window then ends at the gap.
+    rho: ridge weight; 0 is sound here because the gap set is finite, and a
+        conditioning warning from the solver signals when a small positive
+        value would help; None keeps 0 unless 1 - ||A|| is below 1e-8, and
+        then solves at 1e-8 with a warning (`recovery.prepare`'s default).
+    """
+    _check_gap(past, horizon, gap, omega)
+    if dummy is not None and dummy.ndim != 1:
+        raise GeometryError("forecasting is a 1D operation")
+    if dummy is not None and dummy.window.lo != gap + 1:
+        raise GeometryError(f"dummy must start at gap+1 = {gap + 1}, got {dummy.window.lo}")
+    values = np.zeros(0) if dummy is None else dummy.values  # the zero dummy: no samples
+    return _forecasts(past, horizon, gap, omega, rho, [values])[0]
 
 
-def _forecasts(past: Series, horizon: int, gap: int, omega: BandLimit, rho: float,
+def _forecasts(past: Series, horizon: int, gap: int, omega: BandLimit, rho: float | None,
                dummies: list[np.ndarray]) -> list[ForecastResult]:
     """The forecast with each dummy in turn, given as its values on {gap+1..n}.
 
@@ -118,7 +112,7 @@ def dummy_sensitivity(
     dummies: list[Series],
     gaps: list[int],
     omega: BandLimit,
-    rho: float = 0.0,
+    rho: float | None = 0.0,
 ) -> SensitivityReport:
     """Measure how much the accepted forecast depends on the dummy choice.
 
@@ -128,7 +122,9 @@ def dummy_sensitivity(
     pairwise distance between the accepted forecasts across dummies.  The
     dummies of one gap length share one operator and one factorization.  The
     theory predicts the sequence fades as the gap grows, so a single
-    increasing step is flagged, not an error.
+    increasing step is flagged, not an error.  At rho = 0 a gap whose system
+    is singular raises for the whole sweep; `rho=None` applies
+    `recovery.prepare`'s default per gap length, which solves it instead.
     """
     if len(dummies) < 2:
         raise ParameterError("at least two dummies are required")
@@ -136,8 +132,7 @@ def dummy_sensitivity(
         raise ParameterError("at least one gap length is required")
     if list(gaps) != sorted(set(int(g) for g in gaps)):
         raise ParameterError("gap lengths must be strictly increasing")
-    windows = {d.window for d in dummies}
-    if len(windows) != 1:
+    if len({d.window for d in dummies}) != 1:
         raise GeometryError("all dummies must share one window")
     dummy_window = dummies[0].window
     if dummy_window.ndim != 1 or dummy_window.lo != 1:
@@ -152,12 +147,7 @@ def dummy_sensitivity(
     distances = []
     for m in map(int, gaps):
         results = _forecasts(past, horizon, m, omega, rho, [dummy.values[m:] for dummy in dummies])
-        forecasts = [result.values for result in results]
-        worst = 0.0
-        for i in range(len(forecasts)):
-            for j in range(i + 1, len(forecasts)):
-                worst = max(worst, float(np.linalg.norm(forecasts[i] - forecasts[j])))
-        distances.append(worst)
+        distances.append(max(float(np.linalg.norm(a.values - b.values)) for a, b in combinations(results, 2)))
 
     violations = tuple(
         k for k in range(1, len(distances)) if distances[k] > distances[k - 1]

@@ -12,7 +12,6 @@ import numpy as np
 
 from bandgap import (
     BandLimit,
-    ForecastSpec,
     IndexWindow,
     RecoveryProblem,
     Series,
@@ -228,8 +227,8 @@ def test_criterion_9_forecast_insensitivity():
 
     def paired_distance(m: int) -> np.ndarray:
         dummy = Series(window=IndexWindow(m + 1, n), values=full[q + 1 + m :])
-        with_true = forecast(ForecastSpec(past=past, horizon=3, gap=m, omega=bl, dummy=dummy))
-        with_zero = forecast(ForecastSpec(past=past, horizon=3, gap=m, omega=bl))
+        with_true = forecast(past, 3, m, bl, dummy=dummy)
+        with_zero = forecast(past, 3, m, bl)
         return np.abs(with_true.full_gap - with_zero.full_gap)
 
     diff12 = paired_distance(12)

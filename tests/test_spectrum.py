@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from bandgap import (
     BandLimit,
-    ForecastSpec,
     GapOperator,
     GeometryError,
     IndexWindow,
@@ -174,8 +173,7 @@ class TestSpectrumCount:
         assert counts == {"eigvalsh": 0, "factor": len(gaps), "lanczos": len(gaps)}
         for m, distance in zip(gaps, report.distances):
             tail = IndexWindow(m + 1, 60)
-            one_by_one = [forecast(ForecastSpec(past=past, horizon=3, gap=m, omega=OMEGA,
-                                                dummy=Series(window=tail, values=d.values[m:]))).values
+            one_by_one = [forecast(past, 3, m, OMEGA, dummy=Series(window=tail, values=d.values[m:])).values
                           for d in dummies]
             expected = max(float(np.linalg.norm(a - b))
                            for i, a in enumerate(one_by_one) for b in one_by_one[i + 1:])
