@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap", type=int, default=12, help="recovered gap length m > horizon")
     p.add_argument("--dummy", default="zero", help='"zero" or a CSV on {gap+1..n}')
     p.add_argument("--omega", type=float, default=0.25, help="band limit as a fraction of pi")
-    p.add_argument("--rho", type=float, default=0.0)
+    p.add_argument("--rho", type=float, default=None, help="ridge weight (default: auto)")
     _add_common(p)
     p.set_defaults(func=cmd_forecast)
 

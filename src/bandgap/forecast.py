@@ -12,9 +12,9 @@ measures empirically.  Samples outside the recovery window are observed zeros,
 so the zero dummy is no samples: its window ends at the gap.  Only the dummy
 changes the observed series, so the geometry of one gap length (mask, band
 limit, rho) goes through `recovery.prepare` once, and each dummy costs one
-right-hand side and one solve; rho is 0 by default, and `rho=None` takes
-`prepare`'s default per gap length.  `forecast` returns the accepted values,
-the whole recovered gap and the solution record.
+right-hand side and one solve; the default rho is `prepare`'s, per gap
+length.  `forecast` returns the accepted values, the whole recovered gap
+and the solution record.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def _check_gap(past: Series, horizon: int, gap: int, omega: BandLimit) -> None:
 
 
 def forecast(past: Series, horizon: int, gap: int, omega: BandLimit, dummy: Series | None = None,
-             rho: float | None = 0.0) -> ForecastResult:
+             rho: float | None = None) -> ForecastResult:
     """Run the dummy-interpolation forecast; accepts the first `horizon` values.
 
     past: observed samples on {-q..0} (q at least 1).
@@ -64,10 +64,7 @@ def forecast(past: Series, horizon: int, gap: int, omega: BandLimit, dummy: Seri
     dummy: samples on {gap+1..n}, whose last index ends the recovery window;
         None means the zero dummy (the canonical default), which adds no
         information: the window then ends at the gap.
-    rho: ridge weight; 0 is sound here because the gap set is finite, and a
-        conditioning warning from the solver signals when a small positive
-        value would help; None keeps 0 unless 1 - ||A|| is below 1e-8, and
-        then solves at 1e-8 with a warning (`recovery.prepare`'s default).
+    rho: ridge weight; None is `recovery.prepare`'s default, as in `recover`.
     """
     _check_gap(past, horizon, gap, omega)
     if dummy is not None and dummy.ndim != 1:
@@ -112,7 +109,7 @@ def dummy_sensitivity(
     dummies: list[Series],
     gaps: list[int],
     omega: BandLimit,
-    rho: float | None = 0.0,
+    rho: float | None = None,
 ) -> SensitivityReport:
     """Measure how much the accepted forecast depends on the dummy choice.
 
@@ -122,9 +119,8 @@ def dummy_sensitivity(
     pairwise distance between the accepted forecasts across dummies.  The
     dummies of one gap length share one operator and one factorization.  The
     theory predicts the sequence fades as the gap grows, so a single
-    increasing step is flagged, not an error.  At rho = 0 a gap whose system
-    is singular raises for the whole sweep; `rho=None` applies
-    `recovery.prepare`'s default per gap length, which solves it instead.
+    increasing step is flagged, not an error.  The default rho is
+    `recovery.prepare`'s, per gap length.
     """
     if len(dummies) < 2:
         raise ParameterError("at least two dummies are required")

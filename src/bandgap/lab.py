@@ -130,7 +130,8 @@ class ExperimentConfig:
     sweep: "window" (half-width), "noise" (sigma), "rho", or "gap" (|M|).
     values: strictly increasing sweep values, converted on construction to
         int (window, gap) or float (noise, rho).  Sigma, rho and noise or
-        rho values must be finite and nonnegative.
+        rho values must be finite and nonnegative; rho None (the default)
+        is `recovery.prepare`'s.
     seeds: one seed per trial (a plain `seed` and `trials` in JSON give
         the range seed, seed+1, ..., which is never expanded in memory).
         Seeds, `window` and window or gap values are whole numbers: a
@@ -146,7 +147,7 @@ class ExperimentConfig:
     synth_band: float
     missing: str = "1..5"
     window: int = 250
-    rho: float | None = 0.0
+    rho: float | None = None
     sigma: float = 0.0
 
     def __post_init__(self):
@@ -205,7 +206,7 @@ class ExperimentConfig:
             else:
                 base = _integer(doc.get("seed", 0), "seed")
                 seeds = range(base, base + _integer(doc.get("trials", 1), "trials"))
-            rho = doc.get("rho", 0.0)
+            rho = doc.get("rho")
             return cls(
                 sweep=sweep,
                 values=values,

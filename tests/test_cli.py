@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, output schemas, and path equivalences."""
 
 import argparse
+import dataclasses
+import inspect
 import json
 import math
 import tracemalloc
@@ -9,10 +11,12 @@ import warnings
 import numpy as np
 import pytest
 
-from bandgap import BandLimit, IndexWindow, Series, SolverError
-from bandgap.cli import _emit, main
+from bandgap import (BandLimit, ExperimentConfig, IndexWindow, RecoveryProblem, Series, SolverError,
+                     dummy_sensitivity, forecast)
+from bandgap.cli import _emit, build_parser, main
 from bandgap.masks import MAX_MISSING, MAX_WINDOW_SIZE, make_mask
 from bandgap.operators import CONDITION_WARN_THRESHOLD, assemble_operator
+from bandgap.recovery import prepare
 from oracles import recover_single_value, write_series_csv
 
 
@@ -69,6 +73,18 @@ def test_nonfinite_rho_is_parameter_error(series_121, tmp_path, capsys, command,
     assert code == 2 and error["category"] == "parameter"
     assert "finite nonnegative" in error["message"]
     assert peak < 16 * 2**20
+
+
+def test_every_solving_entry_point_defaults_rho_to_prepare_s():
+    assert [inspect.signature(f).parameters["rho"].default for f in (forecast, dummy_sensitivity, prepare)] == [
+        None, None, None]
+    assert [next(f.default for f in dataclasses.fields(c) if f.name == "rho")
+            for c in (RecoveryProblem, ExperimentConfig)] == [None, None]
+    config = ExperimentConfig.from_json_dict({"sweep": "gap", "values": [5], "omega": 0.5, "synth_band": 0.2})
+    assert config.rho is None
+    parser = build_parser()
+    assert parser.parse_args(["recover", "--input", "x.csv", "--missing", "1", "--omega", "0.25"]).rho is None
+    assert parser.parse_args(["forecast", "--input", "x.csv"]).rho is None
 
 
 class TestRecoverCommand:
@@ -300,6 +316,18 @@ class TestForecastCommand:
         accepted = [row for row in doc["plot_data"]
                     if row["series"] == "forecast" and row["accepted"] == 1]
         assert [row["t"] for row in accepted] == [1, 2]
+
+    def test_default_rho_solves_a_gap_singular_at_rho_zero(self, tmp_path, capsys):
+        path = tmp_path / "past.csv"
+        write_series_csv(Series(window=IndexWindow(-60, 0), values=0.01 * np.arange(-60, 1)), path)
+        argv = ["forecast", "--input", str(path), "--gap", "40", "--omega", "0.5"]
+        out = tmp_path / "fc.json"
+        assert run([*argv, "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"]["rho"] == 1e-8
+        assert any(w.startswith("rho raised from 0 to 1e-08") for w in doc["warnings"])
+        assert run([*argv, "--rho", "0", "--output", str(tmp_path / "zero.json")]) == 4
+        assert json.loads(capsys.readouterr().err)["error"]["category"] == "solver"
 
     def test_oversize_window_is_geometry_error(self, tmp_path, capsys):
         path = tmp_path / "past.csv"

@@ -173,10 +173,10 @@ class TestDummySensitivity:
         dummies = [Series(window=IndexWindow(1, 60), values=rng.standard_normal(60)) for _ in range(4)]
         omega = BandLimit.from_pi_fraction(0.4)
         with pytest.raises(SolverError, match="singular to working precision"):
-            dummy_sensitivity(past, 3, dummies, [4, 8, 12, 20, 32], omega)
-        report = dummy_sensitivity(past, 3, dummies, [4, 8, 12, 20, 32], omega, rho=None)
+            dummy_sensitivity(past, 3, dummies, [4, 8, 12, 20, 32], omega, rho=0.0)
+        report = dummy_sensitivity(past, 3, dummies, [4, 8, 12, 20, 32], omega)
         assert len(report.distances) == 5 and np.all(np.isfinite(report.distances))
-        raised = forecast(past, 3, 32, omega, rho=None).solution
+        raised = forecast(past, 3, 32, omega).solution
         assert raised.solve_report.rho == 1e-8
         assert any(w.startswith("rho raised from 0 to 1e-08") for w in raised.warnings)
 

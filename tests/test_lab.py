@@ -277,6 +277,13 @@ class TestExperiments:
         assert all(v > 0 for v in mins)
         assert all(a > b for a, b in zip(mins, mins[1:]))
 
+    def test_gap_sweep_default_rho_solves_a_gap_singular_at_rho_zero(self):
+        report = run_experiment(ExperimentConfig.from_json_dict(
+            {"sweep": "gap", "values": [5, 40], "omega": 0.5, "synth_band": 0.2}))
+        assert [(row["value"], row["status"], row["rho"]) for row in report["rows"]] == [
+            (5, "ok", 0.0), (40, "ok", 1e-8)]
+        assert report["failures"] == []
+
     def test_determinism(self):
         config = ExperimentConfig(
             sweep="rho", values=(0.0, 0.1, 1.0), seeds=(11, 12),
