@@ -52,11 +52,14 @@ CONDITION_WARN_THRESHOLD = 1e-8
 
 # Lanczos stops once the residual r of its top Ritz pair is below this
 # fraction of the Ritz value theta_1, which puts theta_1, and so the margin
-# 1/theta_1, within this relative distance of an eigenvalue.  On the
-# clustered spectrum of a 4 x 6 gap at (0.125, 0.9375) pi, 1e-10 misses
-# ||A|| by 3e-11.  The gap bound r^2 / (theta_1 - theta_2) is no safe
-# earlier stop: it takes the next Ritz value for the next eigenvalue, and in
-# a cluster the run has not yet split, the next eigenvalue is nearer.
+# 1/theta_1, within this relative distance of an eigenvalue, and theta_1
+# has moved by no more than that since the step before: a residual alone
+# stopped on the second of two eigenvalues 5.4e-14 apart and missed the
+# first by 1.04e-13.  On the clustered spectrum of a 4 x 6 gap at
+# (0.125, 0.9375) pi, 1e-10 misses ||A|| by 3e-11.  The gap bound
+# r^2 / (theta_1 - theta_2) is no safe earlier stop: it takes the next Ritz
+# value for the next eigenvalue, and in a cluster the run has not yet
+# split, the next eigenvalue is nearer.
 LANCZOS_TOL = 1e-13
 
 
@@ -99,30 +102,31 @@ class GapOperator:
 
 @dataclass(frozen=True, eq=False)
 class CholeskyFactor:
-    """S = L L^T, with the inverses of L's diagonal blocks of order FACTOR_BLOCK.
+    """S = L L^T, each diagonal block of L (order FACTOR_BLOCK) held as its inverse, in its place.
 
-    `lower` holds L on and below the diagonal; what lies above is not read.
+    `lower` holds L below its diagonal blocks; nothing above them is read.
     A solve is a forward and a back substitution block by block, each block
     one product with a stored inverse (Golub & Van Loan, *Matrix
     Computations*), so one factor serves any number of right-hand sides.
-    Both substitutions read L by block rows, which lie contiguous in memory:
-    the back substitution subtracts each solved block's share from the
-    blocks above it as soon as it is known.
+    Both substitutions read L by block rows, contiguous in memory: the back
+    substitution subtracts each solved block's share from the blocks above
+    it once it is known.  As a lower triangular matrix's inverse leads with
+    its leading block's inverse, `CholeskyFactor(lower=f.lower[:m, :m])`
+    factors the leading m x m block of S.
     """
 
     lower: np.ndarray
-    inverses: tuple[np.ndarray, ...]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """S^-1 b."""
-        lower, k = self.lower, FACTOR_BLOCK
+        lower, starts = self.lower, range(0, len(self.lower), FACTOR_BLOCK)
         y = np.array(b, dtype=np.float64)
-        for i, inv in enumerate(self.inverses):
-            lo, hi = i * k, (i + 1) * k
-            y[lo:hi] = inv @ (y[lo:hi] - lower[lo:hi, :lo] @ y[:lo])
-        for i in reversed(range(len(self.inverses))):
-            lo, hi = i * k, (i + 1) * k
-            y[lo:hi] = self.inverses[i].T @ y[lo:hi]
+        for lo in starts:
+            hi = lo + FACTOR_BLOCK
+            y[lo:hi] = lower[lo:hi, lo:hi] @ (y[lo:hi] - lower[lo:hi, :lo] @ y[:lo])
+        for lo in reversed(starts):
+            hi = lo + FACTOR_BLOCK
+            y[lo:hi] = lower[lo:hi, lo:hi].T @ y[lo:hi]
             y[:lo] -= y[lo:hi] @ lower[lo:hi, :lo]
         return y
 
@@ -262,9 +266,8 @@ def factor(op: GapOperator, rho: float) -> CholeskyFactor | None:
 
 
 def _blocked_cholesky(system: np.ndarray) -> CholeskyFactor | None:
-    """Left-looking blocked Cholesky, overwriting `system`; panels are matrix products."""
+    """Left-looking blocked Cholesky, overwriting `system`, each diagonal block by its inverse; panels are matrix products."""
     n, k = system.shape[0], FACTOR_BLOCK
-    inverses = []
     for lo in range(0, n, k):
         hi = lo + k
         left = system[lo:hi, :lo]
@@ -272,10 +275,9 @@ def _blocked_cholesky(system: np.ndarray) -> CholeskyFactor | None:
             block = np.linalg.cholesky(system[lo:hi, lo:hi] - left @ left.T)
         except np.linalg.LinAlgError:
             return None
-        inverses.append(np.linalg.inv(block))
-        system[lo:hi, lo:hi] = block
-        system[hi:, lo:hi] = (system[hi:, lo:hi] - system[hi:, :lo] @ left.T) @ inverses[-1].T
-    return CholeskyFactor(lower=system, inverses=tuple(inverses))
+        system[lo:hi, lo:hi] = inverse = np.linalg.inv(block)
+        system[hi:, lo:hi] = (system[hi:, lo:hi] - system[hi:, :lo] @ left.T) @ inverse.T
+    return CholeskyFactor(lower=system)
 
 
 def _lanczos_margin(factor: CholeskyFactor | None) -> float:
@@ -285,8 +287,10 @@ def _lanczos_margin(factor: CholeskyFactor | None) -> float:
     vector with a fixed seed, so the result is deterministic.  The basis and
     the tridiagonal T are kept in arrays that double when full, and each
     step passes T's leading k x k block to `eigh`.  The run stops once the
-    top Ritz pair's residual beta_k |s_k| is at most LANCZOS_TOL times its
-    Ritz value theta_max, or after m steps, when T is all of S^-1.
+    top Ritz pair's residual beta_k |s_k| and theta_max's move since the
+    step before are both at most LANCZOS_TOL times theta_max; at beta_k = 0,
+    where the basis spans an invariant subspace; or after m steps, when T
+    is all of S^-1.
     """
     if factor is None:
         return 0.0
@@ -294,7 +298,7 @@ def _lanczos_margin(factor: CholeskyFactor | None) -> float:
     start = np.random.default_rng(0).standard_normal(m)
     basis = np.empty((min(m, 32), m))
     tri = np.zeros((len(basis), len(basis)))
-    basis[0] = start / np.linalg.norm(start)
+    basis[0], last = start / np.linalg.norm(start), 0.0
     for k in range(m):
         w = factor.solve(basis[k])
         tri[k, k] = basis[k] @ w
@@ -303,8 +307,10 @@ def _lanczos_margin(factor: CholeskyFactor | None) -> float:
             w -= (done @ w) @ done
         beta = float(np.linalg.norm(w))
         theta, vectors = np.linalg.eigh(tri[:k + 1, :k + 1])
-        if beta * abs(vectors[-1, -1]) <= LANCZOS_TOL * theta[-1] or k + 1 == m:
-            return float(1.0 / theta[-1])
+        top = theta[-1]
+        if max(beta * abs(vectors[-1, -1]), abs(top - last)) <= LANCZOS_TOL * top or beta == 0 or k + 1 == m:
+            return float(1.0 / top)
+        last = top
         if k + 1 == len(basis):
             grown = min(2 * len(basis), m)
             basis = np.concatenate([basis, np.empty((grown - len(basis), m))])

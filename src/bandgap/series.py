@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError, ParameterError
-from .masks import Index, IndexWindow, as_indices
+from .masks import MAX_MISSING, Index, IndexWindow, as_indices
 
 # The header of a series file, by dimensionality.
 _HEADERS = (["t", "value"], ["t1", "t2", "value"])
@@ -71,8 +71,9 @@ def read_series_csv(path) -> tuple[Series, list[Index]]:
 
     The window is the bounding box of the indices present in the file; any
     in-window index with no row is reported as absent (a gap) and its value
-    is zero in the returned series.  A window above `masks.MAX_WINDOW_SIZE` entries
-    is rejected before anything of its size is allocated.
+    is zero in the returned series.  A window above `masks.MAX_WINDOW_SIZE`
+    entries, or one with more than `masks.MAX_MISSING` absent indices, is
+    rejected before anything of its size is allocated.
 
     The body of a regular file is parsed by one `np.loadtxt` call on its
     path.  Any ValueError on that path sends the file to the row parser,
@@ -158,7 +159,7 @@ def _from_arrays(path, coords: np.ndarray, values: np.ndarray, lines) -> tuple[S
     lo = coords.min(axis=0)
     window = IndexWindow(lo, coords.max(axis=0))
     try:
-        filled = np.zeros(window.checked_size())
+        size = window.checked_size()
     except GeometryError as exc:
         raise GeometryError(f"{path}: {exc}") from exc
     flat = np.ravel_multi_index(tuple((coords - lo).T), window.shape)
@@ -168,6 +169,10 @@ def _from_arrays(path, coords: np.ndarray, values: np.ndarray, lines) -> tuple[S
         row = int(repeats.min())
         (t,) = as_indices(coords[row:row + 1])
         raise ParameterError(f"{path}:{lines[row]}: duplicate index {t!r}")
+    if size - len(flat) > MAX_MISSING:
+        raise GeometryError(f"{path}: {size - len(flat)} in-window indices have no row; at most "
+                            f"{MAX_MISSING} missing samples can be recovered")
+    filled = np.zeros(size)
     filled[flat] = values
     present = np.zeros(filled.size, dtype=bool)
     present[flat] = True

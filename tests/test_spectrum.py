@@ -248,6 +248,23 @@ class TestLanczosMargin:
         assert 1.1 - top > op.size * np.finfo(np.float64).eps * 1.1  # above the floor
         assert abs(diagnostics(op, 0.1).spectral_norm - top) <= 1e-13
 
+    def test_margin_does_not_stop_on_the_second_of_a_near_pair(self):
+        """A draw of the property below whose two smallest eigenvalues of I - A lie 5.4e-14 apart.
+
+        On the residual stop alone the run ended on the second of them, after
+        4 of 5 steps, and missed the margin by 1.04e-13 relative to it.
+        """
+        omega = 0.4986082059272327 * np.pi
+        mask = make_mask(IndexWindow(-100, 100), [-42, -10, 0, 4, 8])
+        op, complement = (assemble_operator(mask, BandLimit(w)) for w in (omega, np.pi - omega))
+        margin = diagnostics(op).margin
+        assert abs(margin - float(EIGVALSH(complement.matrix)[0])) <= 1e-13 * margin
+
+    def test_margin_of_an_invariant_start_vector(self):
+        """A = I/3 to rounding, so the first step spans an invariant subspace and beta is 0."""
+        op = assemble_operator(make_mask(IndexWindow(-20, 20), [0, 9]), BandLimit.from_pi_fraction(1 / 3))
+        assert diagnostics(op).margin == pytest.approx(2 / 3, rel=1e-15)
+
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(st.sets(st.integers(-100, 100), min_size=1, max_size=60),
                      st.integers(-100, 100).flatmap(lambda a: st.integers(a, min(a + 59, 100)).map(
@@ -295,6 +312,26 @@ class TestLanczosMargin:
         assert op.size == 1024
         assert abs(diag.spectral_norm - float(EIGVALSH(op.matrix)[-1])) <= 1e-13
         assert len(solves) <= 36  # one per Lanczos step; the residual stop takes 36 here
+
+
+class TestCholeskyFactor:
+    """Nothing above a factor's diagonal blocks is read, so its leading block factors the leading system."""
+
+    @pytest.mark.parametrize("window, missing, rho", [
+        (IndexWindow(-300, 300), range(1, 201), 1e-4),
+        (IndexWindow(-300, 300), np.random.default_rng(3).choice(np.arange(-300, 301), 150, replace=False), 0.0),
+        (IndexWindow((0, 0), (39, 39)), [(r, c) for r in range(10, 22) for c in range(14, 26)], 0.0),
+    ], ids=["contiguous", "scattered", "2d-block"])
+    def test_leading_block_solves_the_leading_system(self, window, missing, rho):
+        omega = OMEGA if window.ndim == 1 else BandLimit.from_pi_fraction((0.25, 0.4))
+        op = assemble_operator(make_mask(window, missing), omega)
+        full = operators.factor(op, rho)
+        system = (1.0 + rho) * np.eye(op.size) - op.matrix
+        b = np.random.default_rng(0).standard_normal(op.size)
+        for m in (1, 63, 64, 65, 129, op.size - 1, op.size):
+            x = operators.CholeskyFactor(lower=full.lower[:m, :m]).solve(b[:m])
+            s, norm = system[:m, :m], np.linalg.norm
+            assert norm(s @ x - b[:m]) <= 1e-13 * (norm(s, 2) * norm(x) + norm(b[:m]))
 
 
 class TestStoredMargin:
@@ -507,14 +544,20 @@ class TestMissingSetCap:
             tracemalloc.stop()
         assert peak < 16 * 2**20  # the gap matrix alone would take 128 MiB
 
-    def test_cli_file_with_far_apart_rows_is_geometry_error(self, tmp_path):
-        path = tmp_path / "far.csv"
-        path.write_text("t,value\n0,1.0\n10000,2.0\n")
-        tracemalloc.start()
-        try:
-            code = main(["recover", "--input", str(path), "--missing", "5", "--omega", "0.25"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 3
-        assert peak < 16 * 2**20  # 9,999 missing samples: a dense A would take 763 MiB
+    def test_cli_file_with_far_apart_rows_is_geometry_error(self, tmp_path, capsys):
+        """Too many absent rows is refused as the file is read, before they are listed."""
+        cases = [("t,value\n0,1.0\n10000,2.0\n", ["5"]),  # 9,999 missing: a dense A would take 763 MiB
+                 ("t,value\n0,1.0\n4000000,2.0\n", ["1..2"]),
+                 ("t1,t2,value\n0,0,1.0\n2000,2000,2.0\n", ["1..2 x 1..2", "--omega2", "0.4"])]
+        for rows, (spec, *omega2) in cases:
+            path = tmp_path / "far.csv"
+            path.write_text(rows)
+            tracemalloc.start()
+            try:
+                code = main(["recover", "--input", str(path), f"--missing={spec}", "--omega", "0.25", *omega2])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 3
+            assert json.loads(capsys.readouterr().err)["error"]["category"] == "geometry"
+            assert peak < 16 * 2**20
